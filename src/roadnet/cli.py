@@ -289,7 +289,7 @@ def _cmd_stream(cfg: RunConfig) -> None:
             open(cfg.output_dir / "stream.ndjson", "w", encoding="utf-8") as sink:
         stats = run_stream(reader, cfg.batch_size, k=cfg.top,
                            recompute_pagerank=cfg.recompute_pagerank,
-                           source_name=str(cfg.input_path))
+                           source_name=str(cfg.input_path), threads=cfg.threads)
         for item in write_ndjson(stats, sink):
             last = item
             count += 1

@@ -150,24 +150,34 @@ def write_edge_list(edges: EdgeList, fp: IO[str]) -> None:
         fp.write(f"{u}\t{v}\n")
 
 
-def _undirected_pairs(f: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """Distinct unordered {u, v} pairs with u != v, as a (m, 2) array."""
-    keep = f != t
-    lo = np.minimum(f[keep], t[keep])
-    hi = np.maximum(f[keep], t[keep])
-    pairs = np.column_stack([lo, hi])
-    return np.unique(pairs, axis=0)
+def dense_indices(f: np.ndarray, t: np.ndarray):
+    """Sorted distinct IDs of both endpoint arrays, and f, t as indices into them."""
+    ids, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
+    return ids, inverse[:f.size], inverse[f.size:]
+
+
+def pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """Sorted distinct keys ``lo << 32 | hi`` of the unordered pairs {src, dst},
+    src != dst, over int64 indices in 0..n-1."""
+    if n > 2**31:
+        raise ValueError(f"{n} nodes exceed the 2^31 limit of the pair keys")
+    keep = src != dst
+    lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
+    return np.unique((lo << 32) | hi)
+
+
+def split_keys(keys: np.ndarray):
+    """Inverse of ``pair_keys``: the (lo, hi) index arrays."""
+    return keys >> 32, keys & 0xFFFFFFFF
 
 
 def summarize(edges: EdgeList) -> DatasetSummary:
-    f, t = edges.from_ids, edges.to_ids
-    if f.size == 0:
-        return DatasetSummary(0, 0, 0, 0)
+    ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
     return DatasetSummary(
-        node_count=int(np.union1d(f, t).size),
-        directed_edge_count=int(f.size),
-        undirected_edge_count=int(_undirected_pairs(f, t).shape[0]),
-        self_loop_count=int(np.count_nonzero(f == t)),
+        node_count=ids.size,
+        directed_edge_count=src.size,
+        undirected_edge_count=pair_keys(src, dst, ids.size).size,
+        self_loop_count=int(np.count_nonzero(src == dst)),
     )
 
 
@@ -178,18 +188,14 @@ def build_graph(edges: EdgeList) -> Graph:
     Undirected view: symmetrized simple graph (self-loops dropped, parallel
     edges merged).  Original IDs map to dense 0..n-1 in ascending ID order.
     """
-    ids = np.union1d(edges.from_ids, edges.to_ids)
-    n = int(ids.size)
-    src = np.searchsorted(ids, edges.from_ids)
-    dst = np.searchsorted(ids, edges.to_ids)
-
+    ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
+    n = ids.size
     out_offsets, out_neighbors = csr_from_arcs(n, src, dst)
     in_offsets, in_neighbors = csr_from_arcs(n, dst, src)
 
-    pairs = _undirected_pairs(src, dst)
-    u = np.concatenate([pairs[:, 0], pairs[:, 1]])
-    v = np.concatenate([pairs[:, 1], pairs[:, 0]])
-    undirected_offsets, undirected_neighbors = csr_from_arcs(n, u, v)
+    lo, hi = split_keys(pair_keys(src, dst, n))
+    undirected_offsets, undirected_neighbors = csr_from_arcs(
+        n, np.concatenate([lo, hi]), np.concatenate([hi, lo]))
 
     return Graph(
         n=n,

@@ -1,11 +1,11 @@
 """Micro-batch ingestion with live cumulative top-k statistics.
 
-The edge stream is consumed in fixed-size chunks of data lines.  After each
-batch an incremental degree table (per-node counters plus a seen-pair set for
-exact parallel-edge/self-loop handling) yields the current top-k by
-undirected degree; optionally the cumulative graph is rebuilt and ranked
-from scratch per batch.  After the final batch the incremental table matches
-the batch pipeline exactly, same tie rules included.
+The edge stream is consumed in fixed-size chunks of data lines.  Each batch
+is merged into numpy degree state (arrival-order node slots and the sorted
+``pair_keys`` seen so far), and the top-k by undirected degree is re-ranked
+over the previous top-k plus the batch's nodes alone; optionally the
+cumulative graph is rebuilt and ranked by PageRank per batch.  Every batch's
+table equals the batch pipeline's on the prefix read, same tie rules included.
 """
 
 from __future__ import annotations
@@ -18,7 +18,8 @@ from typing import IO, Iterator
 import numpy as np
 
 from .graph import TopKRow, TopKTable, degree_attributes, top_k_order
-from .graph_io import EdgeList, build_graph, iter_edge_lines
+from .graph_io import (EdgeList, build_graph, dense_indices, iter_edge_lines,
+                       pair_keys, split_keys)
 from .pagerank import pagerank, top_k_pagerank
 
 
@@ -64,86 +65,79 @@ def stream_batches(reader, batch_size: int,
 
 
 class _DegreeTracker:
-    """Cumulative per-node degree counters over a stream of arcs.
+    """Cumulative degrees and top-k table over a stream of arcs.
 
-    Undirected degree counts each distinct {u, v} pair once per endpoint and
-    ignores self-loops, mirroring the simple undirected graph view; in/out
-    counters run over the raw arcs.
+    Nodes get stable slots in arrival order; ``ids`` (sorted) and ``slot_of``
+    map node IDs to slots, and ``node_id`` and the rows of ``counts`` (degree,
+    indegree, outdegree) are indexed by slot.  ``keys`` are the ``pair_keys``
+    over slots so far.  ``ids``, ``slot_of`` and ``keys`` start with a -1
+    sentinel, so ``searchsorted(side="right") - 1`` always indexes an entry.
     """
 
-    def __init__(self):
-        self.degree: dict[int, int] = {}
-        self.indegree: dict[int, int] = {}
-        self.outdegree: dict[int, int] = {}
-        self.seen_pairs: set[tuple[int, int]] = set()
+    def __init__(self, k: int):
+        self.k = k
+        self.ids = self.slot_of = self.keys = np.full(1, -1, dtype=np.int64)
+        self.node_id = self.top = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros((3, 0), dtype=np.int64)
 
-    def add(self, edges: EdgeList) -> None:
-        deg, indeg, outdeg = self.degree, self.indegree, self.outdegree
-        seen = self.seen_pairs
-        for u, v in zip(edges.from_ids.tolist(), edges.to_ids.tolist()):
-            deg.setdefault(u, 0)
-            deg.setdefault(v, 0)
-            outdeg[u] = outdeg.get(u, 0) + 1
-            indeg[v] = indeg.get(v, 0) + 1
-            if u == v:
-                continue
-            pair = (u, v) if u < v else (v, u)
-            if pair not in seen:
-                seen.add(pair)
-                deg[u] += 1
-                deg[v] += 1
-
-    @property
-    def node_count(self) -> int:
-        return len(self.degree)
-
-    def top_k(self, k: int) -> TopKTable:
-        ids = np.fromiter(self.degree.keys(), dtype=np.int64,
-                          count=len(self.degree))
-        scores = np.fromiter(self.degree.values(), dtype=np.int64,
-                             count=len(self.degree))
-        rows = tuple(
-            TopKRow(
-                node_id=int(ids[i]),
-                score=int(scores[i]),
-                attributes=degree_attributes(int(scores[i]),
-                                             self.indegree.get(int(ids[i]), 0),
-                                             self.outdegree.get(int(ids[i]), 0)),
-            )
-            for i in top_k_order(scores, ids, k)
-        )
-        return TopKTable(rows=rows, k=k)
+    def add(self, edges: EdgeList) -> TopKTable:
+        """Merge one batch of arcs; return the new top-k table."""
+        batch_ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
+        pos = np.searchsorted(self.ids, batch_ids, side="right")
+        fresh = self.ids[pos - 1] != batch_ids
+        slots = self.slot_of[pos - 1]
+        n = self.node_id.size + int(np.count_nonzero(fresh))
+        slots[fresh] = np.arange(self.node_id.size, n)
+        self.ids = np.insert(self.ids, pos[fresh], batch_ids[fresh])
+        self.slot_of = np.insert(self.slot_of, pos[fresh], slots[fresh])
+        self.node_id = np.concatenate([self.node_id, batch_ids[fresh]])
+        src, dst = slots[src], slots[dst]
+        keys = pair_keys(src, dst, n)
+        at = np.searchsorted(self.keys, keys, side="right")
+        unseen = self.keys[at - 1] != keys
+        self.keys = np.insert(self.keys, at[unseen], keys[unseen])
+        ends = np.concatenate(split_keys(keys[unseen]))
+        self.counts = np.pad(self.counts, ((0, 0), (0, n - self.counts.shape[1])))
+        self.counts += [np.bincount(x, minlength=n) for x in (ends, dst, src)]
+        # Ranking the old top-k plus the batch's nodes is exact: degrees only
+        # grow and (degree desc, ID asc) is a strict total order, so a node
+        # outside both still has the k old leaders above it.
+        cand = np.union1d(self.top, slots)
+        self.top = cand[top_k_order(self.counts[0, cand], self.node_id[cand], self.k)]
+        counts = self.counts[:, self.top].T.tolist()  # [degree, indegree, outdegree]
+        rows = tuple(TopKRow(node, c[0], degree_attributes(*c))
+                     for node, c in zip(self.node_id[self.top].tolist(), counts))
+        return TopKTable(rows=rows, k=self.k)
 
 
 def run_stream(reader, batch_size: int, k: int = 10,
                recompute_pagerank: bool = False,
-               source_name: str = "<stream>") -> Iterator[BatchStats]:
+               source_name: str = "<stream>",
+               threads: int = 1) -> Iterator[BatchStats]:
     """Process the stream batch by batch, emitting cumulative statistics."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    tracker = _DegreeTracker()
-    chunks_f: list[np.ndarray] = []
-    chunks_t: list[np.ndarray] = []
+    tracker = _DegreeTracker(k)
+    chunks: list[EdgeList] = []
     cumulative_edges = 0
 
     for index, batch in enumerate(stream_batches(reader, batch_size,
                                                  source_name), start=1):
         started = time.perf_counter()
-        tracker.add(batch)
+        top_degree = tracker.add(batch)
         cumulative_edges += batch.line_count
         top_pr = None
         if recompute_pagerank:
-            chunks_f.append(batch.from_ids)
-            chunks_t.append(batch.to_ids)
-            snapshot = EdgeList(np.concatenate(chunks_f),
-                                np.concatenate(chunks_t), source_name)
-            graph = build_graph(snapshot)
-            top_pr = top_k_pagerank(pagerank(graph), graph, k)
+            chunks.append(batch)
+            graph = build_graph(EdgeList(
+                np.concatenate([c.from_ids for c in chunks]),
+                np.concatenate([c.to_ids for c in chunks]), source_name))
+            top_pr = top_k_pagerank(pagerank(graph, threads=threads), graph, k)
         yield BatchStats(
             batch_index=index,
             cumulative_edges=cumulative_edges,
-            cumulative_nodes=tracker.node_count,
-            top_degree=tracker.top_k(k),
+            cumulative_nodes=tracker.node_id.size,
+            top_degree=top_degree,
             top_pagerank=top_pr,
             wall_time_ms=(time.perf_counter() - started) * 1e3,
         )

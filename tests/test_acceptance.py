@@ -239,10 +239,13 @@ def test_criterion_7_determinism(snap_file, tmp_path, capsys):
 
         # worker count does not change results; threads=1 is the reference
         for i, args in enumerate((["pagerank", "--top", "5"],
-                                  ["kmeans", "--k", "3", "--sample", "40"])):
+                                  ["kmeans", "--k", "3", "--sample", "40"],
+                                  ["stream", "--batch-size", "13", "--top", "5",
+                                   "--pagerank"])):
             out_a, out_b = tmp_path / f"t1_{i}", tmp_path / f"t4_{i}"
             cmd = args + ["--input", str(path)]
             assert cli_main(cmd + ["--out", str(out_a), "--threads", "1"]) == 0
             assert cli_main(cmd + ["--out", str(out_b), "--threads", "4"]) == 0
             assert artifacts(out_a) == artifacts(out_b), args[0]
+            assert ndjson_no_ms(out_a) == ndjson_no_ms(out_b), args[0]
         capsys.readouterr()

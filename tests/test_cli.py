@@ -211,3 +211,21 @@ def test_threads_env_override(snap_file, tmp_path, monkeypatch, capsys):
     path = snap_file(TRIANGLE)
     assert run_cli("pagerank", "--input", path, "--out", tmp_path / "o") == 0
     capsys.readouterr()
+
+
+def test_stream_pagerank_honours_threads(snap_file, tmp_path, monkeypatch,
+                                         capsys):
+    import roadnet.stream
+    from roadnet import pagerank
+    seen = []
+
+    def spy(graph, **kwargs):
+        seen.append(kwargs.get("threads"))
+        return pagerank(graph, **kwargs)
+
+    monkeypatch.setattr(roadnet.stream, "pagerank", spy)
+    path = snap_file(TRIANGLE)
+    assert run_cli("stream", "--input", path, "--out", tmp_path / "o",
+                   "--batch-size", 2, "--pagerank", "--threads", 3) == 0
+    capsys.readouterr()
+    assert seen == [3, 3]

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from roadnet import (EdgeList, EdgeRecord, ParseError, build_graph,
                      parse_edge_list, summarize, write_edge_list)
+from roadnet.graph_io import pair_keys, split_keys
 from conftest import random_records
 
 records_strategy = st.lists(
@@ -148,3 +149,19 @@ def test_dense_index_bijection():
     originals = sorted({u for u, v in records} | {v for u, v in records})
     assert list(g.id_map) == originals
     assert np.all(np.diff(g.id_map) > 0)
+
+
+def test_pair_keys_round_trip_at_index_limit():
+    top = 2**31 - 1
+    src = np.array([top, 0, top - 1, 5, top], dtype=np.int64)
+    dst = np.array([top - 1, top, top, 5, 0], dtype=np.int64)
+    keys = pair_keys(src, dst, 2**31)
+    assert np.all(keys >= 0) and np.all(np.diff(keys) > 0)
+    lo, hi = split_keys(keys)
+    assert list(zip(lo.tolist(), hi.tolist())) == [(0, top), (top - 1, top)]
+
+
+def test_pair_keys_reject_too_many_nodes():
+    one = np.array([1], dtype=np.int64)
+    with pytest.raises(ValueError, match="2\\^31"):
+        pair_keys(one - 1, one, 2**31 + 1)

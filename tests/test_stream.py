@@ -4,9 +4,9 @@ import json
 import numpy as np
 import pytest
 
-from roadnet import (EdgeList, ParseError, build_graph, pagerank,
-                     run_stream, stream_batches, top_k_by_degree,
-                     top_k_pagerank, write_edge_list)
+from roadnet import (DatasetSummary, EdgeList, ParseError, build_graph,
+                     pagerank, run_stream, stream_batches, summarize,
+                     top_k_by_degree, top_k_pagerank, write_edge_list)
 from roadnet.stream import write_ndjson
 from conftest import random_records
 
@@ -121,3 +121,58 @@ def test_ndjson_shape_and_determinism_modulo_ms():
         assert da == db
         for entry in da["top_degree"]:
             assert set(entry) == {"node", "score"}
+
+
+def assert_every_batch_matches_prefix(records, batch_size, k):
+    """Each batch's table and counts equal the batch pipeline on the prefix."""
+    stats = list(run_stream(as_stream(records), batch_size, k=k))
+    assert len(stats) == -(-len(records) // batch_size)
+    for s in stats:
+        prefix = records[:s.batch_index * batch_size]
+        graph = build_graph(EdgeList.from_records(prefix))
+        assert s.cumulative_edges == len(prefix)
+        assert s.cumulative_nodes == graph.n
+        assert s.top_degree == top_k_by_degree(graph, k), s.batch_index
+        assert all(type(row.score) is int and type(row.node_id) is int
+                   for row in s.top_degree.rows)
+    return stats
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, 50, 1000])
+def test_every_batch_equals_batch_pipeline_on_prefix(batch_size):
+    rng = np.random.default_rng(17)
+    records = random_records(rng, 25, 400)
+    assert_every_batch_matches_prefix(records, batch_size, k=10)
+
+
+def test_node_drops_out_of_top_k_on_id_tie():
+    # after batch 3, node 1 ties node 6 at degree 1 and wins on the lower ID
+    stats = assert_every_batch_matches_prefix([(5, 6), (5, 7), (1, 2)], 1, k=2)
+    tops = [[row.node_id for row in s.top_degree.rows] for s in stats]
+    assert tops == [[5, 6], [5, 6], [5, 1]]
+
+
+BIG = 2**63 - 1
+# 5 nodes, 7 arcs, 3 undirected edges, 2 self-loops; node 7 has only
+# self-loops, and the IDs next to 2^63 sit beside 0
+EDGE_RECORDS = [(BIG, 0), (0, BIG), (BIG - 1, BIG), (7, 7), (7, 7), (3, 0),
+                (BIG, BIG - 1)]
+
+
+def test_edge_inputs_summary_and_top_k():
+    edges = EdgeList.from_records(EDGE_RECORDS)
+    assert summarize(edges) == DatasetSummary(5, 7, 3, 2)
+    table = top_k_by_degree(build_graph(edges), 10)
+    assert [(r.node_id, r.score) for r in table.rows] == [
+        (0, 2), (BIG, 2), (3, 1), (BIG - 1, 1), (7, 0)]
+    assert table.rows[-1].attributes == ("degree=0", "indegree=2",
+                                         "outdegree=2")
+
+
+@pytest.mark.parametrize("batch_size", [1, 2, 3])
+def test_edge_inputs_every_batch(batch_size):
+    stats = assert_every_batch_matches_prefix(EDGE_RECORDS, batch_size, k=10)
+    assert len(stats[-1].top_degree.rows) == 5
+    assert json.loads(stats[-1].to_json())["top_degree"][1] == {
+        "node": BIG, "score": 2}
+
