@@ -5,19 +5,35 @@ SNAP road-network files are plain text: ``#`` comment lines, then one
 run of spaces/tabs is accepted as the separator.  Each undirected road
 segment is stored as two directed lines; the published node/edge counts for
 these datasets refer to the deduplicated undirected view.
+
+The accepted format is defined by the per-line scanner ``iter_edge_lines``
+(``str.strip``/``split``/``int`` per line).  Bulk parsing goes through
+``iter_edge_blocks``, which reads ``BLOCK_LINES`` lines at a time from the
+same line iterator and parses a block in numpy when every line keeps to a
+strict grammar: comment lines (first byte other than space/tab is ``#``),
+and lines of ASCII digits, spaces and tabs holding no token or exactly two
+tokens of at most 18 digits.  Any other block is rescanned by the scanner
+from its first line number, so rows, ParseErrors (line number, text,
+reason) and the rows yielded before an error are the scanner's.
 """
 
 from __future__ import annotations
 
 import io
-from array import array
 from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .graph import Graph, csr_from_arcs
+
+BLOCK_LINES = 4096  # lines per parsed block; larger blocks cost peak RSS
+_MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
+_ID_LIMIT = 2**63
+_DATA_BYTES = np.zeros(256, dtype=bool)  # bytes of strict data lines
+_DATA_BYTES[list(b"0123456789 \t\n")] = True
 
 
 class EdgeRecord(NamedTuple):
@@ -99,6 +115,8 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
 
     Comments (leading ``#``) and blank lines are skipped.  Malformed lines
     raise ParseError; I/O failures propagate with the source name attached.
+    This per-line scanner defines the accepted format: ``iter_edge_blocks``
+    falls back to it and is tested against it.
     """
     text = _as_text(reader)
     try:
@@ -119,23 +137,117 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
             if u < 0 or v < 0:
                 raise ParseError(source_name, line_number, line,
                                  "negative node identifier")
+            if u >= _ID_LIMIT or v >= _ID_LIMIT:
+                raise ParseError(source_name, line_number, line,
+                                 "node identifier out of range")
             yield line_number, u, v
     except OSError as exc:
         raise OSError(f"while reading {source_name}: {exc}") from exc
 
 
+def _strict_pairs(lines: list[str]) -> np.ndarray | None:
+    """The block's data lines as an (n, 2) int64 array, or None if any line
+    is outside the strict grammar (see the module docstring)."""
+    text = "".join(lines)
+    if "#" in text:
+        lines = [s for s in lines if not s.lstrip(" \t").startswith("#")]
+        text = "".join(lines)
+    if not lines:
+        return np.zeros((0, 2), dtype=np.int64)
+    if not text.endswith("\n"):  # the last line of the input
+        text += "\n"
+    if not text.isascii():
+        return None
+    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
+    if not np.take(_DATA_BYTES, buf).all():
+        return None
+    newlines = np.flatnonzero(buf == ord("\n"))
+    if newlines.size != len(lines):  # a line held a second newline or none
+        return None
+    # Digits are the only allowed bytes >= "0"; runs alternate start/end.
+    bounds = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False))
+    starts, ends = bounds[0::2], bounds[1::2]
+    widths = ends - starts
+    tokens_per_line = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    if (np.any((tokens_per_line != 0) & (tokens_per_line != 2))
+            or widths.max(initial=0) > _MAX_DIGITS):
+        return None
+    values = np.zeros(starts.size, dtype=np.int64)
+    for k in range(widths.max(initial=0)):  # k-th digit from the right
+        digit = buf[ends - (k + 1)] - np.uint8(ord("0"))
+        digit[widths <= k] = 0
+        values += digit * np.int64(10**k)
+    return values.reshape(-1, 2)
+
+
+def _block_edges(lines: list[str], first_line: int, source_name: str):
+    """Yield the block's rows as one (from_ids, to_ids) pair, if any.
+
+    A block outside the strict grammar is rescanned by ``iter_edge_lines``;
+    on a malformed line, the rows before it are yielded and then the
+    ParseError is raised, numbered from the block's ``first_line``.
+    """
+    pairs = _strict_pairs(lines)
+    if pairs is None:
+        rows: list[tuple[int, int]] = []
+        try:  # extend keeps the rows before a raise
+            rows.extend((u, v) for _, u, v in iter_edge_lines(lines, source_name))
+        except ParseError as err:
+            if rows:
+                yield _columns(rows)
+            raise ParseError(source_name, first_line - 1 + err.line_number,
+                             err.text, err.reason) from None
+        pairs = rows
+    if len(pairs):
+        yield _columns(pairs)
+
+
+def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
+    from_ids, to_ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
+    return from_ids, to_ids
+
+
+def iter_edge_blocks(reader, source_name: str = "<stream>"
+                     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Yield (from_ids, to_ids) int64 arrays of the data lines, in file order,
+    parsed ``BLOCK_LINES`` lines at a time.
+
+    Accepts, rejects and reports exactly as ``iter_edge_lines``: the same
+    rows, the same ParseError (line number, text, reason) after the same
+    rows, and I/O failures with the source name attached after the rows
+    read before them.
+    """
+    text = _as_text(reader)
+    first_line = 1
+    while True:
+        lines: list[str] = []
+        failure = None
+        try:  # extend keeps the lines read before a failure
+            lines.extend(islice(text, BLOCK_LINES))
+        except (OSError, ValueError) as exc:  # a read or decode failure
+            failure = exc
+        yield from _block_edges(lines, first_line, source_name)
+        first_line += len(lines)
+        if isinstance(failure, OSError):
+            raise OSError(f"while reading {source_name}: {failure}") from failure
+        if failure is not None:
+            raise failure
+        if len(lines) < BLOCK_LINES:
+            return
+
+
+def concat_blocks(blocks: list, source_name: str) -> EdgeList:
+    """One EdgeList of (from_ids, to_ids) blocks, in order."""
+    empty = np.zeros(0, dtype=np.int64)
+    return EdgeList(from_ids=np.concatenate([empty, *(f for f, _ in blocks)]),
+                    to_ids=np.concatenate([empty, *(t for _, t in blocks)]),
+                    source_name=source_name)
+
+
 def parse_edge_list(reader, source_name: str = "<stream>") -> EdgeList:
     """Parse a SNAP edge-list stream into an EdgeList, file order preserved."""
-    froms = array("q")
-    tos = array("q")
-    for _, u, v in iter_edge_lines(reader, source_name):
-        froms.append(u)
-        tos.append(v)
-    return EdgeList(
-        from_ids=np.asarray(froms, dtype=np.int64),
-        to_ids=np.asarray(tos, dtype=np.int64),
-        source_name=source_name,
-    )
+    return concat_blocks(list(iter_edge_blocks(reader, source_name)),
+                         source_name)
 
 
 def load_edge_list(path) -> EdgeList:

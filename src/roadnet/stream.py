@@ -18,8 +18,8 @@ from typing import IO, Iterator
 import numpy as np
 
 from .graph import TopKRow, TopKTable, degree_attributes, top_k_order
-from .graph_io import (EdgeList, build_graph, dense_indices, iter_edge_lines,
-                       pair_keys, split_keys)
+from .graph_io import (EdgeList, build_graph, concat_blocks, dense_indices,
+                       iter_edge_blocks, pair_keys, split_keys)
 from .pagerank import pagerank, top_k_pagerank
 
 
@@ -47,21 +47,28 @@ class BatchStats:
 
 def stream_batches(reader, batch_size: int,
                    source_name: str = "<stream>") -> Iterator[EdgeList]:
-    """Yield EdgeList chunks of batch_size data lines (last may be short)."""
+    """Yield EdgeList chunks of batch_size data lines (last may be short).
+
+    The blocks of ``iter_edge_blocks`` (numpy fast path, line-scanner
+    fallback) are re-sliced into batches, so a malformed line raises the
+    scanner's ParseError after the same batches as a line-by-line read.
+    """
     if batch_size < 1:
         raise ValueError(f"batch_size must be >= 1, got {batch_size}")
-    froms: list[int] = []
-    tos: list[int] = []
-    for _, u, v in iter_edge_lines(reader, source_name):
-        froms.append(u)
-        tos.append(v)
-        if len(froms) == batch_size:
-            yield EdgeList(np.array(froms, dtype=np.int64),
-                           np.array(tos, dtype=np.int64), source_name)
-            froms, tos = [], []
-    if froms:
-        yield EdgeList(np.array(froms, dtype=np.int64),
-                       np.array(tos, dtype=np.int64), source_name)
+    held, count = [], 0  # blocks (or a block tail) not yet emitted
+    for block in iter_edge_blocks(reader, source_name):
+        held.append(block)
+        count += block[0].size
+        if count < batch_size:
+            continue
+        edges = concat_blocks(held, source_name)
+        cut = count - count % batch_size
+        for i in range(0, cut, batch_size):
+            yield EdgeList(edges.from_ids[i:i + batch_size],
+                           edges.to_ids[i:i + batch_size], source_name)
+        held, count = [(edges.from_ids[cut:], edges.to_ids[cut:])], count - cut
+    if count:
+        yield concat_blocks(held, source_name)
 
 
 class _DegreeTracker:

@@ -41,6 +41,16 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert ":2:" in err and "oops" in err
 
 
+def test_out_of_range_id_is_data_error(tmp_path, capsys):
+    bad = tmp_path / "big.txt"
+    bad.write_text("0\t1\n0\t9223372036854775808\n")
+    rc = run_cli("summary", "--input", bad, "--out", tmp_path / "o")
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"roadnet: {bad}:2: node identifier out of range")
+    assert "Traceback" not in err
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate", "--input", "x")

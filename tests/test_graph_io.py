@@ -1,4 +1,5 @@
 import io
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from roadnet import (EdgeList, EdgeRecord, ParseError, build_graph,
-                     parse_edge_list, summarize, write_edge_list)
-from roadnet.graph_io import pair_keys, split_keys
+                     load_edge_list, parse_edge_list, summarize,
+                     write_edge_list)
+from roadnet import graph_io
+from roadnet.graph_io import (BLOCK_LINES, iter_edge_blocks, iter_edge_lines,
+                              pair_keys, split_keys)
 from conftest import random_records
 
 records_strategy = st.lists(
@@ -50,6 +54,7 @@ def test_parse_byte_stream():
     ("0 1 2\n", 1),
     ("-1\t2\n", 1),
     ("0\t1\n\n# c\n3.5\t2\n", 4),
+    ("0\t1\n0\t9223372036854775808\n", 2),
 ])
 def test_parse_malformed_line(text, bad_line):
     with pytest.raises(ParseError) as err:
@@ -165,3 +170,133 @@ def test_pair_keys_reject_too_many_nodes():
     one = np.array([1], dtype=np.int64)
     with pytest.raises(ValueError, match="2\\^31"):
         pair_keys(one - 1, one, 2**31 + 1)
+
+
+def test_parse_largest_id():
+    top = 2**63 - 1
+    assert parse_edge_list(io.StringIO(f"{top}\t0\n")).records == [(top, 0)]
+
+
+def reader_of(data):
+    return io.BytesIO(data) if isinstance(data, bytes) else io.StringIO(data)
+
+
+def outcome(pairs_with_error):
+    """Rows yielded before any ParseError, and its (line, text, reason)."""
+    rows = []
+    try:
+        for u, v in pairs_with_error:
+            rows.append((u, v))
+    except ParseError as err:
+        return rows, (err.line_number, err.text, err.reason)
+    return rows, None
+
+
+def scanned(data):
+    """The line scanner (the oracle) over ``data``."""
+    return outcome((u, v) for _, u, v in iter_edge_lines(reader_of(data), "f"))
+
+
+def block_read(data):
+    return outcome(pair for f, t in iter_edge_blocks(reader_of(data), "f")
+                   for pair in zip(f.tolist(), t.tolist()))
+
+
+def assert_parses_like_scanner(data):
+    rows, error = scanned(data)
+    assert block_read(data) == (rows, error)
+    if error is None:
+        edges = parse_edge_list(reader_of(data), "f")
+        assert edges.from_ids.dtype == edges.to_ids.dtype == np.int64
+        assert edges.records == rows
+    else:
+        with pytest.raises(ParseError) as err:
+            parse_edge_list(reader_of(data), "f")
+        assert (err.value.line_number, err.value.text,
+                err.value.reason) == error
+
+
+PIECES = ["0", "7", "42", "123456789012345678", "9223372036854775807",
+          "9223372036854775808", "12345678901234567890", "+", "-", "_", ".",
+          "x", "#", "# c", " ", "\t", "\n", "\n", "\r", "\r\n", "\x0c",
+          "\xa0", "\u0663", "0 1\n", "3\t4\n"]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=60).map("".join),
+       st.sampled_from([1, 2, 3, BLOCK_LINES]))
+@settings(max_examples=300, deadline=None)
+def test_block_parser_matches_line_scanner(text, block_lines):
+    with mock.patch.object(graph_io, "BLOCK_LINES", block_lines):
+        assert_parses_like_scanner(text)
+        assert_parses_like_scanner(text.encode("utf-8"))
+
+
+def test_line_holding_two_newlines_stays_one_line():
+    lines = ["0 1\n2 3\n", "4 5\n"]  # an iterable of lines, not a file
+    with pytest.raises(ParseError, match="expected 2 fields, got 4") as err:
+        parse_edge_list(lines)
+    assert err.value.line_number == 1
+
+
+def data_lines(n):
+    return [f"{i}\t{i * 7919 % 100003}\n" for i in range(n)]
+
+
+def test_bad_line_in_third_block_has_absolute_line_number():
+    lines = data_lines(3 * BLOCK_LINES)
+    lines[2 * BLOCK_LINES + 100] = "12\tx7\n"
+    assert_parses_like_scanner("".join(lines))
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(io.StringIO("".join(lines)), "big.txt")
+    assert err.value.line_number == 2 * BLOCK_LINES + 101
+    assert err.value.text == "12\tx7"
+
+
+def test_mid_file_comments_and_blank_lines():
+    lines = data_lines(2 * BLOCK_LINES + 500)
+    for at, extra in [(2 * BLOCK_LINES + 3, "  \t \n"), (BLOCK_LINES, "\n"),
+                      (BLOCK_LINES - 1, "# mid-file comment\n"),
+                      (7, " \t# indented comment \u00e9\n"), (0, "# header\n")]:
+        lines.insert(at, extra)
+    text = "".join(lines)
+    assert_parses_like_scanner(text)
+    assert parse_edge_list(io.StringIO(text)).line_count == 2 * BLOCK_LINES + 500
+
+
+def test_crlf_file(tmp_path):
+    text = "# header\r\n" + "".join(data_lines(2 * BLOCK_LINES + 9)).replace(
+        "\n", "\r\n") + "\r\n"
+    assert_parses_like_scanner(text.encode())
+    assert_parses_like_scanner(text)
+    path = tmp_path / "crlf.txt"
+    path.write_bytes(text.encode())
+    edges = load_edge_list(path)
+    assert edges.records == scanned(text.encode())[0]
+    assert edges.line_count == 2 * BLOCK_LINES + 9
+
+
+def test_lone_cr_in_first_block_shifts_bad_line_in_second():
+    lines = data_lines(2 * BLOCK_LINES + 10)
+    lines[10] = "1\t2\r3\t4\n"  # universal newlines: two lines
+    lines[BLOCK_LINES + 50] = "oops\n"
+    data = "".join(lines).encode()
+    assert_parses_like_scanner(data)
+    assert_parses_like_scanner(data.decode())
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(io.BytesIO(data), "cr.txt")
+    assert err.value.line_number == BLOCK_LINES + 52
+
+
+def test_snap_format_stays_on_the_fast_path(tmp_path, monkeypatch):
+    def no_scanner(*args, **kwargs):
+        raise AssertionError("line scanner used")
+
+    monkeypatch.setattr(graph_io, "iter_edge_lines", no_scanner)
+    body = "".join(data_lines(2 * BLOCK_LINES + 3))
+    text = ("# Directed graph (each unordered pair of nodes is saved once)\n"
+            "# FromNodeId\tToNodeId\n\n" + body + "\n5 6\n 7 \t 8 \n\n")
+    path = tmp_path / "snap.txt"
+    path.write_bytes(text.replace("\n", "\r\n").encode())
+    edges = load_edge_list(path)
+    assert edges.line_count == 2 * BLOCK_LINES + 5
+    assert edges.records[-2:] == [(5, 6), (7, 8)]

@@ -7,6 +7,7 @@ import pytest
 from roadnet import (DatasetSummary, EdgeList, ParseError, build_graph,
                      pagerank, run_stream, stream_batches, summarize,
                      top_k_by_degree, top_k_pagerank, write_edge_list)
+from roadnet.graph_io import BLOCK_LINES, iter_edge_lines
 from roadnet.stream import write_ndjson
 from conftest import random_records
 
@@ -48,6 +49,57 @@ def test_parse_error_has_absolute_line_number():
     with pytest.raises(ParseError) as err:
         list(stream_batches(io.StringIO(text), 2, "s.txt"))
     assert err.value.line_number == 5
+
+
+def snap_text(n):
+    """A '#' header, n data lines and a blank line every 1000 lines."""
+    return "# header\n" + "".join(
+        f"{i}\t{i * 7919 % 100003}\n" + ("\n" if i % 1000 == 999 else "")
+        for i in range(n))
+
+
+@pytest.mark.parametrize("batch_size", [1, 7, BLOCK_LINES - 1, BLOCK_LINES + 1])
+def test_batches_across_blocks(batch_size):
+    text = snap_text(2 * BLOCK_LINES + 77)
+    chunks = list(stream_batches(io.StringIO(text), batch_size))
+    sizes = [c.line_count for c in chunks]
+    assert sizes[:-1] == [batch_size] * (len(chunks) - 1)
+    assert 1 <= sizes[-1] <= batch_size
+    expected = [(u, v) for _, u, v in iter_edge_lines(io.StringIO(text))]
+    got = np.concatenate([np.column_stack([c.from_ids, c.to_ids])
+                          for c in chunks])
+    assert got.tolist() == [list(p) for p in expected]
+
+
+def test_batches_before_parse_error_match_line_by_line_read():
+    # 19,999 data lines after the header, then a bad line 20,001; a
+    # line-by-line read fills 9,999 batches of 2 before reaching it.
+    text = snap_text(19_999).replace("\n\n", "\n") + "7\t-\n0\t1\n"
+    emitted = 0
+    with pytest.raises(ParseError) as err:
+        for _ in stream_batches(io.StringIO(text), 2, "s.txt"):
+            emitted += 1
+    assert err.value.line_number == 20_001
+    assert emitted == 9_999
+
+
+def test_batches_before_io_failure_are_emitted():
+    class FailsAfter(io.StringIO):
+        def __init__(self, text, lines):
+            super().__init__(text)
+            self.lines = lines
+
+        def __next__(self):
+            if self.lines == 0:
+                raise OSError("disk gone")
+            self.lines -= 1
+            return super().__next__()
+
+    emitted = []
+    with pytest.raises(OSError, match="reading s.txt"):
+        for chunk in stream_batches(FailsAfter(snap_text(10), 6), 2, "s.txt"):
+            emitted.append(chunk.records)
+    assert emitted == [[(0, 0), (1, 7919)], [(2, 15838), (3, 23757)]]
 
 
 def test_two_batch_example():
