@@ -191,9 +191,9 @@ def _cmd_degrees(cfg: RunConfig) -> None:
     stats = degree_stats(graph)
     with open(cfg.output_dir / "degrees.csv", "w", encoding="utf-8") as fp:
         fp.write("node_id,degree,indegree,outdegree\n")
-        for i in range(graph.n):
-            fp.write(f"{graph.id_map[i]},{stats.degree[i]},"
-                     f"{stats.indegree[i]},{stats.outdegree[i]}\n")
+        fp.write("".join(map("{},{},{},{}\n".format, graph.id_map.tolist(),
+                             stats.degree.tolist(), stats.indegree.tolist(),
+                             stats.outdegree.tolist())))
     maxima = {}
     for label, entry in [("max_degree", stats.max_degree_node),
                          ("max_indegree", stats.max_indegree_node),
@@ -217,6 +217,7 @@ def _cmd_pagerank(cfg: RunConfig) -> None:
     ranks = pagerank(graph, damping=cfg.damping, tolerance=cfg.tolerance,
                      max_iterations=cfg.max_iterations, directed=cfg.directed,
                      threads=cfg.threads)
+    _warn_unconverged(ranks, cfg.input_path)
     with open(cfg.output_dir / "pagerank.csv", "w", encoding="utf-8") as fp:
         ranks.to_csv(fp, graph)
     table = top_k_pagerank(ranks, graph, cfg.top)
@@ -245,9 +246,17 @@ def _cmd_topk(cfg: RunConfig) -> None:
 def _topk_table(path: Path, cfg: RunConfig):
     graph = build_graph(load_edge_list(path))
     if cfg.by == "pagerank":
-        return top_k_pagerank(pagerank(graph, threads=cfg.threads), graph,
-                              cfg.top)
+        ranks = pagerank(graph, threads=cfg.threads)
+        _warn_unconverged(ranks, path)
+        return top_k_pagerank(ranks, graph, cfg.top)
     return top_k_by_degree(graph, cfg.top)
+
+
+def _warn_unconverged(ranks, path: Path) -> None:
+    if not ranks.converged:
+        print(f"roadnet: warning: {path}: pagerank stopped at the iteration "
+              f"limit before converging, after {ranks.iterations_run} "
+              f"iterations (delta={ranks.final_delta:.3e})", file=sys.stderr)
 
 
 def _cmd_kmeans(cfg: RunConfig) -> None:

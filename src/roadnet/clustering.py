@@ -17,7 +17,7 @@ from typing import IO
 import numpy as np
 
 from .graph_io import EdgeList
-from .parallel import block_ranges, run_blocks
+from .parallel import block_count, block_ranges, run_blocks
 
 INIT_METHODS = ("kmeans++", "uniform-random", "first-k")
 
@@ -167,7 +167,8 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     t = points.t
     labels = np.empty(t, dtype=np.int64)
     mind2 = np.empty(t)
-    ranges = block_ranges(t, max(threads, -(-t // _BLOCK_POINTS)))
+    ranges = block_ranges(t, max(block_count("kmeans", k * t, threads),
+                                 -(-t // _BLOCK_POINTS)))
 
     def assign(a: int, b: int) -> None:
         block = xy[a:b]

@@ -7,19 +7,22 @@ segment is stored as two directed lines; the published node/edge counts for
 these datasets refer to the deduplicated undirected view.
 
 The accepted format is defined by the per-line scanner ``iter_edge_lines``
-(``str.strip``/``split``/``int`` per line).  Bulk parsing goes through
-``iter_edge_blocks``, which reads ``BLOCK_LINES`` lines at a time from the
-same line iterator and parses a block in numpy when every line keeps to a
-strict grammar: comment lines (first byte other than space/tab is ``#``),
-and lines of ASCII digits, spaces and tabs holding no token or exactly two
-tokens of at most 18 digits.  Any other block is rescanned by the scanner
-from its first line number, so rows, ParseErrors (line number, text,
-reason) and the rows yielded before an error are the scanner's.
+(``str.strip``/``split`` per line, two tokens of ASCII digits).  Bulk
+parsing goes through ``iter_edge_blocks``, which reads ``BLOCK_LINES``
+lines at a time from the same line iterator and parses a block in numpy
+when every line keeps to a strict grammar: comment lines (first byte other
+than space/tab is ``#``), and lines of ASCII digits, spaces and tabs
+holding no token or exactly two tokens of at most 18 digits.  Any other
+block is rescanned by the scanner from its first line number, so rows,
+ParseErrors (line number, text, reason) and the rows yielded before an
+error are the scanner's.
 """
 
 from __future__ import annotations
 
 import io
+import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from itertools import islice
 from pathlib import Path
@@ -27,11 +30,14 @@ from typing import IO, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .graph import Graph, csr_from_arcs
+from .graph import (Graph, arc_keys, csr_from_arcs, sorted_distinct,
+                    split_keys)
 
 BLOCK_LINES = 4096  # lines per parsed block; larger blocks cost peak RSS
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
 _ID_LIMIT = 2**63
+# int() alone would also take "+", "_" and non-ASCII digits
+_INTEGER = re.compile(r"-?[0-9]+")
 _DATA_BYTES = np.zeros(256, dtype=bool)  # bytes of strict data lines
 _DATA_BYTES[list(b"0123456789 \t\n")] = True
 
@@ -102,47 +108,55 @@ class DatasetSummary:
     self_loop_count: int
 
 
-def _as_text(reader) -> IO[str]:
-    if isinstance(reader, (io.RawIOBase, io.BufferedIOBase)):
-        return io.TextIOWrapper(reader, encoding="utf-8")
-    if hasattr(reader, "mode") and "b" in getattr(reader, "mode", ""):
-        return io.TextIOWrapper(reader, encoding="utf-8")
-    return reader
+@contextmanager
+def _as_text(reader) -> Iterator[IO[str]]:
+    """``reader`` as a text stream.  A wrapper made here for a binary stream
+    is detached when reading ends, so the caller's stream stays open."""
+    if not (isinstance(reader, (io.RawIOBase, io.BufferedIOBase))
+            or "b" in getattr(reader, "mode", "")):
+        yield reader
+        return
+    text = io.TextIOWrapper(reader, encoding="utf-8")
+    try:
+        yield text
+    finally:
+        if not reader.closed:  # a closed stream cannot be detached from
+            text.detach()
 
 
 def iter_edge_lines(reader, source_name: str = "<stream>"):
     """Yield (line_number, from_id, to_id) for every data line.
 
-    Comments (leading ``#``) and blank lines are skipped.  Malformed lines
-    raise ParseError; I/O failures propagate with the source name attached.
-    This per-line scanner defines the accepted format: ``iter_edge_blocks``
-    falls back to it and is tested against it.
+    Comments (leading ``#``) and blank lines are skipped.  A data line is
+    two tokens of ASCII digits (a leading ``-`` is reported as negative).
+    Malformed lines raise ParseError; I/O failures propagate with the source
+    name attached.  This per-line scanner defines the accepted format:
+    ``iter_edge_blocks`` falls back to it and is tested against it.
     """
-    text = _as_text(reader)
-    try:
-        for line_number, raw in enumerate(text, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != 2:
-                raise ParseError(source_name, line_number, line,
-                                 f"expected 2 fields, got {len(parts)}")
-            try:
-                u = int(parts[0])
-                v = int(parts[1])
-            except ValueError:
-                raise ParseError(source_name, line_number, line,
-                                 "non-integer node identifier") from None
-            if u < 0 or v < 0:
-                raise ParseError(source_name, line_number, line,
-                                 "negative node identifier")
-            if u >= _ID_LIMIT or v >= _ID_LIMIT:
-                raise ParseError(source_name, line_number, line,
-                                 "node identifier out of range")
-            yield line_number, u, v
-    except OSError as exc:
-        raise OSError(f"while reading {source_name}: {exc}") from exc
+    with _as_text(reader) as text:
+        try:
+            for line_number, raw in enumerate(text, start=1):
+                line = raw.strip()
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split()
+                if len(parts) != 2:
+                    raise ParseError(source_name, line_number, line,
+                                     f"expected 2 fields, got {len(parts)}")
+                try:  # unpacking fails on a token the pattern refuses
+                    u, v = (int(p) for p in parts if _INTEGER.fullmatch(p))
+                except ValueError:
+                    raise ParseError(source_name, line_number, line,
+                                     "non-integer node identifier") from None
+                if u < 0 or v < 0:
+                    raise ParseError(source_name, line_number, line,
+                                     "negative node identifier")
+                if u >= _ID_LIMIT or v >= _ID_LIMIT:
+                    raise ParseError(source_name, line_number, line,
+                                     "node identifier out of range")
+                yield line_number, u, v
+        except OSError as exc:
+            raise OSError(f"while reading {source_name}: {exc}") from exc
 
 
 def _strict_pairs(lines: list[str]) -> np.ndarray | None:
@@ -217,23 +231,24 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
     rows, and I/O failures with the source name attached after the rows
     read before them.
     """
-    text = _as_text(reader)
     first_line = 1
-    while True:
-        lines: list[str] = []
-        failure = None
-        try:  # extend keeps the lines read before a failure
-            lines.extend(islice(text, BLOCK_LINES))
-        except (OSError, ValueError) as exc:  # a read or decode failure
-            failure = exc
-        yield from _block_edges(lines, first_line, source_name)
-        first_line += len(lines)
-        if isinstance(failure, OSError):
-            raise OSError(f"while reading {source_name}: {failure}") from failure
-        if failure is not None:
-            raise failure
-        if len(lines) < BLOCK_LINES:
-            return
+    with _as_text(reader) as text:
+        while True:
+            lines: list[str] = []
+            failure = None
+            try:  # extend keeps the lines read before a failure
+                lines.extend(islice(text, BLOCK_LINES))
+            except (OSError, ValueError) as exc:  # a read or decode failure
+                failure = exc
+            yield from _block_edges(lines, first_line, source_name)
+            first_line += len(lines)
+            if isinstance(failure, OSError):
+                raise OSError(f"while reading {source_name}: {failure}"
+                              ) from failure
+            if failure is not None:
+                raise failure
+            if len(lines) < BLOCK_LINES:
+                return
 
 
 def concat_blocks(blocks: list, source_name: str) -> EdgeList:
@@ -270,17 +285,10 @@ def dense_indices(f: np.ndarray, t: np.ndarray):
 
 def pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Sorted distinct keys ``lo << 32 | hi`` of the unordered pairs {src, dst},
-    src != dst, over int64 indices in 0..n-1."""
-    if n > 2**31:
-        raise ValueError(f"{n} nodes exceed the 2^31 limit of the pair keys")
+    src != dst, over int64 indices in 0..n-1; ``split_keys`` decodes them."""
     keep = src != dst
     lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
-    return np.unique((lo << 32) | hi)
-
-
-def split_keys(keys: np.ndarray):
-    """Inverse of ``pair_keys``: the (lo, hi) index arrays."""
-    return keys >> 32, keys & 0xFFFFFFFF
+    return sorted_distinct(arc_keys(lo, hi, n))
 
 
 def summarize(edges: EdgeList) -> DatasetSummary:

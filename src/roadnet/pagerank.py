@@ -12,14 +12,13 @@ below ``tolerance`` or after ``max_iterations``.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from typing import IO
 
 import numpy as np
 
 from .graph import Graph, TopKTable, table_from_scores
-from .parallel import block_ranges, run_blocks
+from .parallel import block_count, block_ranges, run_blocks
 
 
 @dataclass(frozen=True)
@@ -34,10 +33,9 @@ class PageRankVector:
         self.scores.flags.writeable = False
 
     def to_csv(self, fp: IO[str], graph: Graph) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["node_id", "score"])
-        for node_id, score in zip(graph.id_map.tolist(), self.scores.tolist()):
-            writer.writerow([node_id, repr(score)])
+        fp.write("node_id,score\n")
+        fp.write("".join(map("{},{!r}\n".format, graph.id_map.tolist(),
+                             self.scores.tolist())))
 
 
 def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
@@ -67,35 +65,39 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
         offsets, neighbors = graph.undirected_offsets, graph.undirected_neighbors
         share_deg = graph.degrees.astype(np.float64)
 
-    has_links = share_deg > 0
-    dangling = ~has_links
-    any_dangling = bool(dangling.any())
-    row_of_arc = np.repeat(np.arange(n, dtype=np.int64),
-                           np.diff(offsets))
-    ranges = block_ranges(n, threads)
+    # score / inf is 0.0, so dangling nodes send nothing without a mask
+    dangling = np.flatnonzero(share_deg == 0)
+    share_deg[dangling] = np.inf
+    blocks = []  # (a, b, arc slice, local row of each arc) per node block
+    split = block_count("pagerank", neighbors.size, threads)
+    for a, b in block_ranges(n, split):
+        rows = np.repeat(np.arange(b - a), np.diff(offsets[a:b + 1]))
+        blocks.append((a, b, slice(offsets[a], offsets[b]), rows))
 
     scores = np.full(n, 1.0 / n)
+    new = np.empty(n)
     contrib = np.empty(n)
     w = np.empty(n)
     base = (1.0 - damping) / n
 
-    def accumulate(a: int, b: int) -> None:
-        lo, hi = offsets[a], offsets[b]
-        contrib[a:b] = np.bincount(row_of_arc[lo:hi] - a,
-                                   weights=w[neighbors[lo:hi]],
+    def accumulate(a: int, b: int, arcs: slice, rows: np.ndarray) -> None:
+        contrib[a:b] = np.bincount(rows, weights=w[neighbors[arcs]],
                                    minlength=b - a)
 
     iterations = 0
     delta = np.inf
     converged = False
     while iterations < max_iterations:
-        np.divide(scores, share_deg, out=w, where=has_links)
-        w[dangling] = 0.0
-        run_blocks(accumulate, ranges, threads)
-        loose = scores[dangling].sum() if any_dangling else 0.0
-        new = base + damping * (contrib + loose / n)
-        delta = float(np.abs(new - scores).sum())
-        scores = new
+        np.divide(scores, share_deg, out=w)
+        run_blocks(accumulate, blocks, threads)
+        loose = scores[dangling].sum()
+        # new = base + damping * (contrib + loose / n), in place
+        np.add(contrib, loose / n, out=new)
+        new *= damping
+        new += base
+        np.subtract(new, scores, out=w)  # w is free until the next step
+        delta = float(np.abs(w, out=w).sum())
+        scores, new = new, scores
         iterations += 1
         if delta < tolerance:
             converged = True

@@ -17,9 +17,10 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .graph import TopKRow, TopKTable, degree_attributes, top_k_order
+from .graph import (TopKRow, TopKTable, degree_attributes, sorted_distinct,
+                    split_keys, top_k_order)
 from .graph_io import (EdgeList, build_graph, concat_blocks, dense_indices,
-                       iter_edge_blocks, pair_keys, split_keys)
+                       iter_edge_blocks, pair_keys)
 from .pagerank import pagerank, top_k_pagerank
 
 
@@ -109,7 +110,7 @@ class _DegreeTracker:
         # Ranking the old top-k plus the batch's nodes is exact: degrees only
         # grow and (degree desc, ID asc) is a strict total order, so a node
         # outside both still has the k old leaders above it.
-        cand = np.union1d(self.top, slots)
+        cand = sorted_distinct(np.concatenate([self.top, slots]))
         self.top = cand[top_k_order(self.counts[0, cand], self.node_id[cand], self.k)]
         counts = self.counts[:, self.top].T.tolist()  # [degree, indegree, outdegree]
         rows = tuple(TopKRow(node, c[0], degree_attributes(*c))

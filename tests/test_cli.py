@@ -239,3 +239,33 @@ def test_stream_pagerank_honours_threads(snap_file, tmp_path, monkeypatch,
                    "--batch-size", 2, "--pagerank", "--threads", 3) == 0
     capsys.readouterr()
     assert seen == [3, 3]
+
+
+PATH_20 = [(i, i + 1) for i in range(20)]  # PageRank needs 128 iterations
+
+
+@pytest.mark.parametrize("args,limit,artifacts", [
+    (("pagerank", "--max-iter", 50), 50, ["pagerank.csv", "pagerank_topk.csv"]),
+    (("topk", "--by", "pagerank"), 100, ["topk_pagerank.csv"]),
+])
+def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys, args, limit,
+                                    artifacts):
+    path = snap_file(PATH_20)
+    out = tmp_path / "o"
+    assert run_cli(*args, "--input", path, "--out", out) == 0
+    err = capsys.readouterr().err
+    assert err.startswith(f"roadnet: warning: {path}: pagerank stopped at "
+                          f"the iteration limit before converging, after "
+                          f"{limit} iterations (delta=")
+    assert sorted(p.name for p in out.iterdir()) == artifacts
+
+
+@pytest.mark.parametrize("records,args", [
+    (PATH_20, ("pagerank", "--max-iter", 200)),
+    (TRIANGLE, ("topk", "--by", "pagerank")),
+])
+def test_converged_pagerank_is_silent(snap_file, tmp_path, capsys, records,
+                                      args):
+    assert run_cli(*args, "--input", snap_file(records),
+                   "--out", tmp_path / "o") == 0
+    assert capsys.readouterr().err == ""

@@ -241,3 +241,17 @@ def test_partition_oracle_agrees_with_wcss():
     means = [xy[labels == c].mean(axis=0).tolist() for c in range(2)]
     assert partition_wcss(xy, labels, 2) == pytest.approx(
         wcss(xy.tolist(), means, labels.tolist()), rel=1e-12)
+
+
+def test_kmeans_split_into_blocks_is_bit_identical(monkeypatch):
+    from roadnet import parallel
+    monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
+    rng = np.random.default_rng(77)
+    points = pset(rng.integers(0, 40, size=(500, 2)))  # many exact ties
+    one = kmeans(points, 5, seed=3, tolerance=0.0)
+    for threads in (2, 3, 7):
+        assert parallel.block_count("kmeans", 5 * 500, threads) == threads
+        many = kmeans(points, 5, seed=3, tolerance=0.0, threads=threads)
+        assert np.array_equal(many.assignment, one.assignment)
+        assert np.array_equal(many.centroids, one.centroids)
+        assert many.objective_trace == one.objective_trace

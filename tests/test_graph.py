@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from roadnet import (EdgeList, build_graph, degree, degree_stats,
                      top_k_by_degree)
+from roadnet.graph import arc_keys, csr_from_arcs, sorted_distinct, split_keys
 from conftest import random_records
 from oracles import degree_scan, topk_sort
 
@@ -154,3 +155,34 @@ def test_degree_equals_occurrences_in_neighbor_lists():
     counts = np.bincount(g.undirected_neighbors, minlength=g.n)
     for v in range(g.n):
         assert degree(g, v) == counts[v]
+
+
+def test_csr_from_arcs_matches_lexsort_reference():
+    rng = np.random.default_rng(4)
+    for n, m in [(1, 0), (1, 5), (7, 40), (300, 2000)]:
+        # a small ID range forces duplicate arcs and self-loops
+        src = rng.integers(0, n, size=m)
+        dst = rng.integers(0, n, size=m)
+        offsets, neighbors = csr_from_arcs(n, src, dst)
+        order = np.lexsort((dst, src))
+        assert neighbors.dtype == np.int64
+        assert np.array_equal(neighbors, dst[order])
+        assert np.array_equal(offsets,
+                              np.searchsorted(src[order], np.arange(n + 1)))
+
+
+def test_arc_keys_at_and_past_the_index_limit():
+    top = np.array([2**31 - 1, 0, 2**31 - 1], dtype=np.int64)
+    rev = np.array([0, 2**31 - 1, 5], dtype=np.int64)
+    keys = np.sort(arc_keys(top, rev, 2**31))
+    assert list(zip(*map(np.ndarray.tolist, split_keys(keys)))) == [
+        (0, 2**31 - 1), (2**31 - 1, 0), (2**31 - 1, 5)]
+    with pytest.raises(ValueError, match="2\\^31"):
+        csr_from_arcs(2**31 + 1, top, rev)
+
+
+@pytest.mark.parametrize("size,high", [(0, 5), (1, 5), (500, 10), (500, 2**62),
+                                       (20_000, 3000)])
+def test_sorted_distinct_equals_np_unique(size, high):
+    values = np.random.default_rng(size).integers(-high, high, size=size)
+    assert np.array_equal(sorted_distinct(values), np.unique(values))

@@ -1,4 +1,6 @@
+import gc
 import io
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -55,6 +57,9 @@ def test_parse_byte_stream():
     ("-1\t2\n", 1),
     ("0\t1\n\n# c\n3.5\t2\n", 4),
     ("0\t1\n0\t9223372036854775808\n", 2),
+    ("0 1\n+1\t1_0\n", 2),
+    ("\u0663 4\n", 1),
+    ("7 \uff17\n", 1),
 ])
 def test_parse_malformed_line(text, bad_line):
     with pytest.raises(ParseError) as err:
@@ -63,6 +68,27 @@ def test_parse_malformed_line(text, bad_line):
     assert err.value.source_name == "bad.txt"
     assert repr(err.value.text) in str(err.value)
     assert f":{bad_line}:" in str(err.value)
+
+
+def test_binary_stream_left_open_without_resource_warnings(tmp_path):
+    path = tmp_path / "e.txt"
+    path.write_bytes(b"0 1\n1 2\n")
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        buf = io.BytesIO(b"0 1\n")
+        assert parse_edge_list(buf).records == [(0, 1)]
+        assert not buf.closed
+        buf = io.BytesIO(b"0 1\n1 2\n")
+        lines = iter_edge_lines(buf)
+        next(lines)
+        lines.close()  # a read abandoned half way
+        assert not buf.closed
+        assert load_edge_list(path).line_count == 2
+        with open(path, "rb") as fp:
+            assert len(list(iter_edge_blocks(fp))) == 1
+            assert not fp.closed
+        gc.collect()
+    assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 def test_parse_io_failure_carries_source():

@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -162,3 +164,72 @@ def test_top_k_rejects_bad_k():
     g = graph_of([(0, 1)])
     with pytest.raises(ValueError):
         top_k_pagerank(pagerank(g), g, 0)
+
+
+def loop_pagerank(graph, damping=0.85, tolerance=1e-10, max_iterations=100,
+                  directed=False):
+    """The power step as first written (masks, fresh arrays every step):
+    the reference the in-place, blocked solver must match bit for bit."""
+    if directed:
+        offsets, neighbors = graph.in_offsets, graph.in_neighbors
+        share_deg = graph.outdegrees.astype(np.float64)
+    else:
+        offsets, neighbors = graph.undirected_offsets, graph.undirected_neighbors
+        share_deg = graph.degrees.astype(np.float64)
+    n = graph.n
+    has_links = share_deg > 0
+    row_of_arc = np.repeat(np.arange(n), np.diff(offsets))
+    scores = np.full(n, 1.0 / n)
+    w = np.zeros(n)
+    for iterations in range(1, max_iterations + 1):
+        np.divide(scores, share_deg, out=w, where=has_links)
+        contrib = np.bincount(row_of_arc, weights=w[neighbors], minlength=n)
+        loose = scores[~has_links].sum()
+        new = (1.0 - damping) / n + damping * (contrib + loose / n)
+        delta = float(np.abs(new - scores).sum())
+        scores = new
+        if delta < tolerance:
+            break
+    return scores, iterations, delta
+
+
+@pytest.fixture
+def block_counts(monkeypatch):
+    """The number of blocks each PageRank power step ran in."""
+    from roadnet import parallel
+    counts = []
+
+    def run_blocks(fn, blocks, threads):
+        counts.append(len(blocks))
+        parallel.run_blocks(fn, blocks, threads)
+
+    monkeypatch.setattr(sys.modules["roadnet.pagerank"], "run_blocks",
+                        run_blocks)
+    return counts
+
+
+@pytest.mark.parametrize("directed", [False, True])
+def test_blocked_solve_is_bit_identical_to_the_loop(block_counts, monkeypatch,
+                                                    directed):
+    from roadnet import parallel
+    monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "pagerank", 1)
+    rng = np.random.default_rng(31)
+    # self-loops and one-way arcs leave dangling nodes in both views
+    records = random_records(rng, 60, 150) + [(61, 61), (62, 3)]
+    g = graph_of(records)
+    scores, iterations, delta = loop_pagerank(g, tolerance=1e-12,
+                                              max_iterations=400,
+                                              directed=directed)
+    for threads in (1, 2, 3, 7):
+        block_counts.clear()
+        ranks = pagerank(g, threads=threads, tolerance=1e-12,
+                         max_iterations=400, directed=directed)
+        assert set(block_counts) == {threads}
+        assert np.array_equal(ranks.scores, scores)
+        assert ranks.iterations_run == iterations
+        assert ranks.final_delta == delta
+
+
+def test_small_graphs_solve_in_one_block(block_counts):
+    pagerank(graph_of(STAR_RECORDS), threads=4)
+    assert set(block_counts) == {1}
