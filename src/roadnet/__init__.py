@@ -11,9 +11,9 @@ from .clustering import (ClusteringResult, PointSet, edges_to_points, kmeans,
                          kmeans_init, objective)
 from .graph import (DegreeStats, Graph, TopKRow, TopKTable, degree,
                     degree_stats, top_k_by_degree)
-from .graph_io import (DatasetSummary, EdgeList, EdgeRecord, ParseError,
-                       build_graph, load_edge_list, parse_edge_list,
-                       summarize, write_edge_list)
+from .graph_io import (DatasetSummary, EdgeList, ParseError, build_graph,
+                       load_edge_list, parse_edge_list, summarize,
+                       write_edge_list)
 from .pagerank import PageRankVector, pagerank, top_k_pagerank
 from .report import (ScatterSpec, render_clusters, render_scatter,
                      render_topk_bars, reservoir_sample_indices)
@@ -21,7 +21,7 @@ from .stream import BatchStats, run_stream, stream_batches
 
 __all__ = [
     "__version__",
-    "EdgeRecord", "EdgeList", "DatasetSummary", "ParseError",
+    "EdgeList", "DatasetSummary", "ParseError",
     "parse_edge_list", "load_edge_list", "write_edge_list", "summarize",
     "build_graph",
     "Graph", "DegreeStats", "TopKRow", "TopKTable",

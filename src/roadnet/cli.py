@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from . import __version__
@@ -23,30 +22,6 @@ from .report import (ScatterSpec, render_clusters, render_scatter,
                      render_topk_bars, reservoir_sample_indices,
                      write_points_csv)
 from .stream import run_stream, write_ndjson
-
-COMMANDS = ("summary", "degrees", "pagerank", "topk", "kmeans", "scatter",
-            "stream")
-
-
-@dataclass
-class RunConfig:
-    command: str
-    input_path: Path
-    output_dir: Path
-    k: int = 3
-    damping: float = 0.85
-    tolerance: float = 1e-10
-    max_iterations: int = 100
-    batch_size: int = 100_000
-    seed: int = 42
-    sample_size: int = 100_000
-    threads: int = 1
-    top: int = 10
-    init: str = "kmeans++"
-    by: str = "degree"
-    compare: Path | None = None
-    directed: bool = False
-    recompute_pagerank: bool = False
 
 
 def _damping(text: str) -> float:
@@ -72,8 +47,15 @@ def _nonneg_int(text: str) -> int:
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0.0:
+    if not value > 0.0:  # also refuses nan
         raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
+    return value
+
+
+def _nonneg_float(text: str) -> float:
+    value = float(text)
+    if not value >= 0.0:  # also refuses nan
+        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
     return value
 
 
@@ -84,24 +66,28 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--input", required=True, type=Path,
-                        help="SNAP edge-list file")
-    common.add_argument("--out", type=Path, default=Path("out"),
-                        help="artifact directory (default: out)")
-    common.add_argument("--threads", type=_positive_int, default=None,
-                        help="worker count (default: ROADNET_THREADS or all CPUs)")
-    common.add_argument("--seed", type=int, default=42)
+    files = argparse.ArgumentParser(add_help=False)
+    files.add_argument("--input", required=True, type=Path,
+                       help="SNAP edge-list file")
+    files.add_argument("--out", type=Path, default=Path("out"),
+                       help="artifact directory (default: out)")
+    threads = argparse.ArgumentParser(add_help=False)
+    threads.add_argument("--threads", type=_positive_int, default=None,
+                         help="worker count (default: ROADNET_THREADS or all CPUs)")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=42)
 
-    sub.add_parser("summary", parents=[common],
-                   help="node/edge counts of the dataset")
+    def command(name, handler, help_text, *parents):
+        p = sub.add_parser(name, parents=[files, *parents], help=help_text)
+        p.set_defaults(handler=handler)
+        return p
 
-    p = sub.add_parser("degrees", parents=[common],
-                       help="degree/indegree/outdegree analysis")
+    command("summary", _cmd_summary, "node/edge counts of the dataset")
+
+    p = command("degrees", _cmd_degrees, "degree/indegree/outdegree analysis")
     p.add_argument("--top", type=_positive_int, default=10)
 
-    p = sub.add_parser("pagerank", parents=[common],
-                       help="rank nodes by PageRank")
+    p = command("pagerank", _cmd_pagerank, "rank nodes by PageRank", threads)
     p.add_argument("--damping", type=_damping, default=0.85)
     p.add_argument("--tol", type=_positive_float, default=1e-10)
     p.add_argument("--max-iter", type=_positive_int, default=100)
@@ -109,27 +95,26 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--directed", action="store_true",
                    help="rank over raw directed arcs instead of the undirected view")
 
-    p = sub.add_parser("topk", parents=[common],
-                       help="top-k table, optionally compared across datasets")
+    p = command("topk", _cmd_topk,
+                "top-k table, optionally compared across datasets", threads)
     p.add_argument("--by", choices=("degree", "pagerank"), default="degree")
     p.add_argument("--top", type=_positive_int, default=10)
     p.add_argument("--compare", type=Path, default=None,
                    help="second edge-list file for a side-by-side bar chart")
 
-    p = sub.add_parser("kmeans", parents=[common],
-                       help="k-means communities over the edge scatter")
+    p = command("kmeans", _cmd_kmeans,
+                "k-means communities over the edge scatter", threads, seed)
     p.add_argument("--k", type=_positive_int, default=3)
     p.add_argument("--init", choices=INIT_METHODS, default="kmeans++")
     p.add_argument("--max-iter", type=_positive_int, default=300)
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--tol", type=_nonneg_float, default=1e-6)
     p.add_argument("--sample", type=_nonneg_int, default=100_000)
 
-    p = sub.add_parser("scatter", parents=[common],
-                       help="edge scatter plot (SVG + CSV)")
+    p = command("scatter", _cmd_scatter, "edge scatter plot (SVG + CSV)", seed)
     p.add_argument("--sample", type=_nonneg_int, default=100_000)
 
-    p = sub.add_parser("stream", parents=[common],
-                       help="micro-batch streaming statistics")
+    p = command("stream", _cmd_stream, "micro-batch streaming statistics",
+                threads)
     p.add_argument("--batch-size", type=_positive_int, default=100_000)
     p.add_argument("--top", type=_positive_int, default=10)
     p.add_argument("--pagerank", action="store_true", dest="recompute_pagerank",
@@ -138,58 +123,26 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(command=args.command, input_path=args.input,
-                    output_dir=args.out)
-    cfg.threads = resolve_threads(args.threads)
-    cfg.seed = args.seed
-    for attr, name in [("k", "k"), ("damping", "damping"), ("tolerance", "tol"),
-                       ("max_iterations", "max_iter"),
-                       ("batch_size", "batch_size"), ("sample_size", "sample"),
-                       ("top", "top"), ("init", "init"), ("by", "by"),
-                       ("compare", "compare"), ("directed", "directed"),
-                       ("recompute_pagerank", "recompute_pagerank")]:
-        if hasattr(args, name):
-            setattr(cfg, attr, getattr(args, name))
-    return cfg
-
-
-def run(config: RunConfig) -> int:
-    """Execute one command; writes artifacts under config.output_dir."""
-    if not config.input_path.exists():
-        print(f"roadnet: input file not found: {config.input_path}",
-              file=sys.stderr)
-        return 1
-    config.output_dir.mkdir(parents=True, exist_ok=True)
-    handler = _HANDLERS[config.command]
-    try:
-        handler(config)
-    except (ValueError, OSError) as exc:
-        print(f"roadnet: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_summary(cfg: RunConfig) -> None:
-    edges = load_edge_list(cfg.input_path)
+def _cmd_summary(args: argparse.Namespace) -> None:
+    edges = load_edge_list(args.input)
     s = summarize(edges)
     print(f"nodes={s.node_count} edges={s.undirected_edge_count}")
     print(f"directed_arcs={s.directed_edge_count} self_loops={s.self_loop_count}")
     payload = {
-        "source": str(cfg.input_path),
+        "source": str(args.input),
         "node_count": s.node_count,
         "directed_edge_count": s.directed_edge_count,
         "undirected_edge_count": s.undirected_edge_count,
         "self_loop_count": s.self_loop_count,
     }
-    (cfg.output_dir / "summary.json").write_text(
+    (args.out / "summary.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _cmd_degrees(cfg: RunConfig) -> None:
-    graph = build_graph(load_edge_list(cfg.input_path))
+def _cmd_degrees(args: argparse.Namespace) -> None:
+    graph = build_graph(load_edge_list(args.input))
     stats = degree_stats(graph)
-    with open(cfg.output_dir / "degrees.csv", "w", encoding="utf-8") as fp:
+    with open(args.out / "degrees.csv", "w", encoding="utf-8") as fp:
         fp.write("node_id,degree,indegree,outdegree\n")
         fp.write("".join(map("{},{},{},{}\n".format, graph.id_map.tolist(),
                              stats.degree.tolist(), stats.indegree.tolist(),
@@ -205,23 +158,23 @@ def _cmd_degrees(cfg: RunConfig) -> None:
             _, node_id, value = entry
             maxima[label] = {"node": node_id, "value": value}
             print(f"{label}: node {node_id} value {value}")
-    (cfg.output_dir / "degree_stats.json").write_text(
+    (args.out / "degree_stats.json").write_text(
         json.dumps(maxima, indent=2) + "\n", encoding="utf-8")
-    table = top_k_by_degree(graph, cfg.top)
-    with open(cfg.output_dir / "topk_degree.csv", "w", encoding="utf-8") as fp:
+    table = top_k_by_degree(graph, args.top)
+    with open(args.out / "topk_degree.csv", "w", encoding="utf-8") as fp:
         table.to_csv(fp)
 
 
-def _cmd_pagerank(cfg: RunConfig) -> None:
-    graph = build_graph(load_edge_list(cfg.input_path))
-    ranks = pagerank(graph, damping=cfg.damping, tolerance=cfg.tolerance,
-                     max_iterations=cfg.max_iterations, directed=cfg.directed,
-                     threads=cfg.threads)
-    _warn_unconverged(ranks, cfg.input_path)
-    with open(cfg.output_dir / "pagerank.csv", "w", encoding="utf-8") as fp:
+def _cmd_pagerank(args: argparse.Namespace) -> None:
+    graph = build_graph(load_edge_list(args.input))
+    ranks = pagerank(graph, damping=args.damping, tolerance=args.tol,
+                     max_iterations=args.max_iter, directed=args.directed,
+                     threads=args.threads)
+    _warn_unconverged(ranks, args.input)
+    with open(args.out / "pagerank.csv", "w", encoding="utf-8") as fp:
         ranks.to_csv(fp, graph)
-    table = top_k_pagerank(ranks, graph, cfg.top)
-    with open(cfg.output_dir / "pagerank_topk.csv", "w", encoding="utf-8") as fp:
+    table = top_k_pagerank(ranks, graph, args.top)
+    with open(args.out / "pagerank_topk.csv", "w", encoding="utf-8") as fp:
         table.to_csv(fp)
     state = "converged" if ranks.converged else "not converged"
     print(f"pagerank: {state} after {ranks.iterations_run} iterations "
@@ -229,27 +182,27 @@ def _cmd_pagerank(cfg: RunConfig) -> None:
     print(table.format_triples())
 
 
-def _cmd_topk(cfg: RunConfig) -> None:
-    table = _topk_table(cfg.input_path, cfg)
-    with open(cfg.output_dir / f"topk_{cfg.by}.csv", "w", encoding="utf-8") as fp:
+def _cmd_topk(args: argparse.Namespace) -> None:
+    table = _topk_table(args.input, args)
+    with open(args.out / f"topk_{args.by}.csv", "w", encoding="utf-8") as fp:
         table.to_csv(fp)
     print(table.format_triples())
-    if cfg.compare is not None:
-        other = _topk_table(cfg.compare, cfg)
-        out = cfg.output_dir / "topk_compare.svg"
+    if args.compare is not None:
+        other = _topk_table(args.compare, args)
+        out = args.out / "topk_compare.svg"
         render_topk_bars(table, other,
-                         (cfg.input_path.stem, cfg.compare.stem), out,
-                         score_label=cfg.by)
+                         (args.input.stem, args.compare.stem), out,
+                         score_label=args.by)
         print(f"wrote {out}")
 
 
-def _topk_table(path: Path, cfg: RunConfig):
+def _topk_table(path: Path, args: argparse.Namespace):
     graph = build_graph(load_edge_list(path))
-    if cfg.by == "pagerank":
-        ranks = pagerank(graph, threads=cfg.threads)
+    if args.by == "pagerank":
+        ranks = pagerank(graph, threads=args.threads)
         _warn_unconverged(ranks, path)
-        return top_k_pagerank(ranks, graph, cfg.top)
-    return top_k_by_degree(graph, cfg.top)
+        return top_k_pagerank(ranks, graph, args.top)
+    return top_k_by_degree(graph, args.top)
 
 
 def _warn_unconverged(ranks, path: Path) -> None:
@@ -259,46 +212,46 @@ def _warn_unconverged(ranks, path: Path) -> None:
               f"iterations (delta={ranks.final_delta:.3e})", file=sys.stderr)
 
 
-def _cmd_kmeans(cfg: RunConfig) -> None:
-    points = edges_to_points(load_edge_list(cfg.input_path))
-    result = kmeans(points, cfg.k, init=cfg.init, seed=cfg.seed,
-                    max_iterations=cfg.max_iterations, tolerance=cfg.tolerance,
-                    threads=cfg.threads)
-    (cfg.output_dir / "kmeans_result.json").write_text(
+def _cmd_kmeans(args: argparse.Namespace) -> None:
+    points = edges_to_points(load_edge_list(args.input))
+    result = kmeans(points, args.k, init=args.init, seed=args.seed,
+                    max_iterations=args.max_iter, tolerance=args.tol,
+                    threads=args.threads)
+    (args.out / "kmeans_result.json").write_text(
         result.to_json() + "\n", encoding="utf-8")
-    with open(cfg.output_dir / "kmeans_points.csv", "w", encoding="utf-8") as fp:
+    with open(args.out / "kmeans_points.csv", "w", encoding="utf-8") as fp:
         result.to_csv(fp, points)
-    svg = cfg.output_dir / f"clusters_k{cfg.k}.svg"
-    spec = ScatterSpec(points=points, sample_size=cfg.sample_size,
-                       seed=cfg.seed, title=f"k-means communities (k={cfg.k})")
+    svg = args.out / f"clusters_k{args.k}.svg"
+    spec = ScatterSpec(points=points, sample_size=args.sample,
+                       seed=args.seed, title=f"k-means communities (k={args.k})")
     render_clusters(result, points, spec, svg)
-    print(f"kmeans: k={cfg.k} objective={result.objective!r} "
+    print(f"kmeans: k={args.k} objective={result.objective!r} "
           f"iterations={result.iterations_run} converged={result.converged}")
     print(f"centroids={result.centroids.tolist()!r}")
     print(f"wrote {svg}")
 
 
-def _cmd_scatter(cfg: RunConfig) -> None:
-    points = edges_to_points(load_edge_list(cfg.input_path))
-    spec = ScatterSpec(points=points, sample_size=cfg.sample_size,
-                       seed=cfg.seed, title=cfg.input_path.stem)
-    svg = cfg.output_dir / "scatter.svg"
+def _cmd_scatter(args: argparse.Namespace) -> None:
+    points = edges_to_points(load_edge_list(args.input))
+    spec = ScatterSpec(points=points, sample_size=args.sample,
+                       seed=args.seed, title=args.input.stem)
+    svg = args.out / "scatter.svg"
     render_scatter(spec, svg)
-    idx = reservoir_sample_indices(points.t, cfg.sample_size, cfg.seed)
-    with open(cfg.output_dir / "scatter.csv", "w", encoding="utf-8") as fp:
+    idx = reservoir_sample_indices(points.t, args.sample, args.seed)
+    with open(args.out / "scatter.csv", "w", encoding="utf-8") as fp:
         write_points_csv(fp, points.xy[idx])
     print(f"scatter: rendered {idx.size} of {points.t} points")
     print(f"wrote {svg}")
 
 
-def _cmd_stream(cfg: RunConfig) -> None:
+def _cmd_stream(args: argparse.Namespace) -> None:
     last = None
     count = 0
-    with open(cfg.input_path, "rb") as reader, \
-            open(cfg.output_dir / "stream.ndjson", "w", encoding="utf-8") as sink:
-        stats = run_stream(reader, cfg.batch_size, k=cfg.top,
-                           recompute_pagerank=cfg.recompute_pagerank,
-                           source_name=str(cfg.input_path), threads=cfg.threads)
+    with open(args.input, "rb") as reader, \
+            open(args.out / "stream.ndjson", "w", encoding="utf-8") as sink:
+        stats = run_stream(reader, args.batch_size, k=args.top,
+                           recompute_pagerank=args.recompute_pagerank,
+                           source_name=str(args.input), threads=args.threads)
         for item in write_ndjson(stats, sink):
             last = item
             count += 1
@@ -309,25 +262,25 @@ def _cmd_stream(cfg: RunConfig) -> None:
               f"{last.cumulative_nodes} nodes")
 
 
-_HANDLERS = {
-    "summary": _cmd_summary,
-    "degrees": _cmd_degrees,
-    "pagerank": _cmd_pagerank,
-    "topk": _cmd_topk,
-    "kmeans": _cmd_kmeans,
-    "scatter": _cmd_scatter,
-    "stream": _cmd_stream,
-}
-
-
 def main(argv=None) -> int:
+    """Run one command; artifacts go under --out.  Returns the exit code."""
     parser = build_parser()
     args = parser.parse_args(argv)
+    if "threads" in args:
+        try:
+            args.threads = resolve_threads(args.threads)
+        except ValueError as exc:
+            parser.error(str(exc))
+    if not args.input.exists():
+        print(f"roadnet: input file not found: {args.input}", file=sys.stderr)
+        return 1
+    args.out.mkdir(parents=True, exist_ok=True)
     try:
-        config = config_from_args(args)
-    except ValueError as exc:
-        parser.error(str(exc))
-    return run(config)
+        args.handler(args)
+    except (ValueError, OSError) as exc:
+        print(f"roadnet: {exc}", file=sys.stderr)
+        return 1
+    return 0
 
 
 if __name__ == "__main__":

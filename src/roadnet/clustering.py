@@ -9,7 +9,6 @@ is the within-cluster sum of squared Euclidean distances.
 
 from __future__ import annotations
 
-import csv
 import json
 from dataclasses import dataclass
 from typing import IO
@@ -57,8 +56,8 @@ class ClusteringResult:
     def k(self) -> int:
         return int(self.centroids.shape[0])
 
-    def summary_dict(self) -> dict:
-        return {
+    def to_json(self) -> str:
+        return json.dumps({
             "k": self.k,
             "centroids": self.centroids.tolist(),
             "cluster_sizes": self.cluster_sizes.tolist(),
@@ -66,19 +65,14 @@ class ClusteringResult:
             "iterations_run": self.iterations_run,
             "converged": self.converged,
             "distance_evaluations": self.distance_evaluations,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.summary_dict(), indent=2)
+        }, indent=2)
 
     def to_csv(self, fp: IO[str], points: PointSet) -> None:
-        writer = csv.writer(fp, lineterminator="\n")
-        writer.writerow(["point_index", "x", "y", "cluster"])
-        labels = self.assignment.tolist()
-        xs = points.xy[:, 0].tolist()
-        ys = points.xy[:, 1].tolist()
-        for i, (x, y, c) in enumerate(zip(xs, ys, labels)):
-            writer.writerow([i, repr(x), repr(y), c])
+        fp.write("point_index,x,y,cluster\n")
+        fp.write("".join(map("{},{!r},{!r},{}\n".format, range(points.t),
+                             points.xy[:, 0].tolist(),
+                             points.xy[:, 1].tolist(),
+                             self.assignment.tolist())))
 
 
 def edges_to_points(edges: EdgeList) -> PointSet:
@@ -159,7 +153,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
-    if tolerance < 0:
+    if not tolerance >= 0:  # also refuses nan
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     centroids = kmeans_init(points, k, method=init, seed=seed)
 

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import csv
-import io
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
@@ -15,26 +14,27 @@ import numpy as np
 class Graph:
     """Road network in CSR form, dense node indices 0..n-1.
 
-    Two views are kept side by side: the raw directed arc multiset exactly as
-    read from the file (duplicates and self-loops preserved), and a
-    symmetrized simple undirected view (self-loops dropped, parallel edges
-    merged).  ``id_map[i]`` gives the original node identifier of dense
-    index ``i``; it is sorted ascending, so dense order is original-ID order.
+    Two views are kept side by side.  The symmetrized simple undirected view
+    (self-loops dropped, parallel edges merged) is a CSR.  The raw directed
+    arc multiset, exactly as read from the file (duplicates and self-loops
+    preserved), is kept as an in-arc CSR (``in_neighbors`` lists the sources
+    of each node's in-arcs) plus per-node ``outdegrees``.  ``id_map[i]``
+    gives the original node identifier of dense index ``i``; it is sorted
+    ascending, so dense order is original-ID order.
     """
 
     n: int
     undirected_offsets: np.ndarray
     undirected_neighbors: np.ndarray
-    out_offsets: np.ndarray
-    out_neighbors: np.ndarray
     in_offsets: np.ndarray
     in_neighbors: np.ndarray
+    outdegrees: np.ndarray
     id_map: np.ndarray
 
     def __post_init__(self):
         for arr in (self.undirected_offsets, self.undirected_neighbors,
-                    self.out_offsets, self.out_neighbors,
-                    self.in_offsets, self.in_neighbors, self.id_map):
+                    self.in_offsets, self.in_neighbors, self.outdegrees,
+                    self.id_map):
             arr.flags.writeable = False
 
     @property
@@ -44,15 +44,11 @@ class Graph:
     @property
     def arc_count(self) -> int:
         """Raw directed arcs, duplicates and self-loops included."""
-        return int(self.out_neighbors.size)
+        return int(self.in_neighbors.size)
 
     @cached_property
     def degrees(self) -> np.ndarray:
         return np.diff(self.undirected_offsets)
-
-    @cached_property
-    def outdegrees(self) -> np.ndarray:
-        return np.diff(self.out_offsets)
 
     @cached_property
     def indegrees(self) -> np.ndarray:
@@ -168,11 +164,6 @@ class TopKTable:
         for row in self.rows:
             writer.writerow([row.node_id, _fmt_score(row.score),
                              ";".join(row.attributes)])
-
-    def to_csv_string(self) -> str:
-        buf = io.StringIO()
-        self.to_csv(buf)
-        return buf.getvalue()
 
     def format_triples(self) -> str:
         """One ``(node, score, List(attr, ...))`` line per row."""

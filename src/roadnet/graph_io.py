@@ -23,10 +23,10 @@ from __future__ import annotations
 import io
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice
 from pathlib import Path
-from typing import IO, Iterable, Iterator, NamedTuple
+from typing import IO, Iterable, Iterator
 
 import numpy as np
 
@@ -40,11 +40,6 @@ _ID_LIMIT = 2**63
 _INTEGER = re.compile(r"-?[0-9]+")
 _DATA_BYTES = np.zeros(256, dtype=bool)  # bytes of strict data lines
 _DATA_BYTES[list(b"0123456789 \t\n")] = True
-
-
-class EdgeRecord(NamedTuple):
-    from_id: int
-    to_id: int
 
 
 class ParseError(ValueError):
@@ -64,7 +59,8 @@ class EdgeList:
     """Raw directed edge records in file order.
 
     Bulk access goes through the ``from_ids``/``to_ids`` int64 arrays;
-    ``records`` materializes EdgeRecord tuples and is meant for small lists.
+    ``records`` materializes (from_id, to_id) tuples and is meant for small
+    lists.
     """
 
     from_ids: np.ndarray
@@ -86,18 +82,8 @@ class EdgeList:
         return int(self.from_ids.size)
 
     @property
-    def records(self) -> list[EdgeRecord]:
-        return list(self)
-
-    def __len__(self) -> int:
-        return self.line_count
-
-    def __iter__(self) -> Iterator[EdgeRecord]:
-        for u, v in zip(self.from_ids.tolist(), self.to_ids.tolist()):
-            yield EdgeRecord(u, v)
-
-    def __getitem__(self, i: int) -> EdgeRecord:
-        return EdgeRecord(int(self.from_ids[i]), int(self.to_ids[i]))
+    def records(self) -> list[tuple[int, int]]:
+        return list(zip(self.from_ids.tolist(), self.to_ids.tolist()))
 
 
 @dataclass(frozen=True)
@@ -304,13 +290,13 @@ def summarize(edges: EdgeList) -> DatasetSummary:
 def build_graph(edges: EdgeList) -> Graph:
     """Build the immutable two-view graph.
 
-    Directed view: raw arc multiset, duplicates and self-loops preserved.
+    Directed view: raw arc multiset, duplicates and self-loops preserved,
+    as the in-arc CSR plus the out-degree counts.
     Undirected view: symmetrized simple graph (self-loops dropped, parallel
     edges merged).  Original IDs map to dense 0..n-1 in ascending ID order.
     """
     ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
     n = ids.size
-    out_offsets, out_neighbors = csr_from_arcs(n, src, dst)
     in_offsets, in_neighbors = csr_from_arcs(n, dst, src)
 
     lo, hi = split_keys(pair_keys(src, dst, n))
@@ -321,9 +307,8 @@ def build_graph(edges: EdgeList) -> Graph:
         n=n,
         undirected_offsets=undirected_offsets,
         undirected_neighbors=undirected_neighbors,
-        out_offsets=out_offsets,
-        out_neighbors=out_neighbors,
         in_offsets=in_offsets,
         in_neighbors=in_neighbors,
+        outdegrees=np.bincount(src, minlength=n),
         id_map=ids,
     )

@@ -51,7 +51,7 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
         raise ValueError("pagerank needs a non-empty graph")
     if not 0.0 < damping < 1.0:
         raise ValueError(f"damping must be in (0, 1), got {damping}")
-    if tolerance <= 0.0:
+    if not tolerance > 0.0:  # also refuses nan
         raise ValueError(f"tolerance must be > 0, got {tolerance}")
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")

@@ -8,7 +8,6 @@ the files testable by text inspection.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO
@@ -24,6 +23,8 @@ PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
            "#edc948", "#b07aa1", "#ff9da7", "#9c755f", "#bab0ac")
 
 _MARGIN = dict(left=60, right=15, top=30, bottom=45)
+SCATTER_WIDTH = SCATTER_HEIGHT = 800  # scatter and cluster plots, pixels
+BARS_WIDTH, BARS_HEIGHT = 900, 480  # top-k bar chart, pixels
 
 
 @dataclass
@@ -31,8 +32,6 @@ class ScatterSpec:
     points: PointSet
     sample_size: int = 100_000
     seed: int = 42
-    width: int = 800
-    height: int = 800
     title: str = ""
 
 
@@ -68,9 +67,7 @@ def _tick(v: float) -> str:
 class _Frame:
     """Maps data coordinates into the pixel plot area, y axis pointing up."""
 
-    def __init__(self, xs: np.ndarray, ys: np.ndarray, width: int, height: int):
-        self.width = width
-        self.height = height
+    def __init__(self, xs: np.ndarray, ys: np.ndarray):
         self.x0 = float(xs.min()) if xs.size else 0.0
         self.x1 = float(xs.max()) if xs.size else 1.0
         self.y0 = float(ys.min()) if ys.size else 0.0
@@ -83,8 +80,8 @@ class _Frame:
             self.y1 += 0.5
         self.left = _MARGIN["left"]
         self.top = _MARGIN["top"]
-        self.inner_w = width - self.left - _MARGIN["right"]
-        self.inner_h = height - self.top - _MARGIN["bottom"]
+        self.inner_w = SCATTER_WIDTH - self.left - _MARGIN["right"]
+        self.inner_h = SCATTER_HEIGHT - self.top - _MARGIN["bottom"]
 
     def px(self, x: float) -> float:
         return self.left + (x - self.x0) / (self.x1 - self.x0) * self.inner_w
@@ -109,8 +106,8 @@ class _Frame:
         ]
         if title:
             parts.append(
-                f'<text x="{self.width // 2}" y="18" font-size="13" fill="#111" '
-                f'text-anchor="middle">{escape(title)}</text>')
+                f'<text x="{SCATTER_WIDTH // 2}" y="18" font-size="13" '
+                f'fill="#111" text-anchor="middle">{escape(title)}</text>')
         return parts
 
 
@@ -130,8 +127,8 @@ def render_scatter(spec: ScatterSpec, path) -> Path:
     """Sampled point scatter; axes linear in original-ID space."""
     idx = reservoir_sample_indices(spec.points.t, spec.sample_size, spec.seed)
     xy = spec.points.xy[idx]
-    frame = _Frame(xy[:, 0], xy[:, 1], spec.width, spec.height)
-    lines = [_svg_open(spec.width, spec.height)]
+    frame = _Frame(xy[:, 0], xy[:, 1])
+    lines = [_svg_open(SCATTER_WIDTH, SCATTER_HEIGHT)]
     lines += frame.decor(spec.title)
     lines.append(f'<g fill="{PALETTE[0]}" fill-opacity="0.6">')
     for x, y in xy.tolist():
@@ -154,9 +151,9 @@ def render_clusters(result: ClusteringResult, points: PointSet,
     labels = result.assignment[idx]
     both_x = np.concatenate([xy[:, 0], result.centroids[:, 0]])
     both_y = np.concatenate([xy[:, 1], result.centroids[:, 1]])
-    frame = _Frame(both_x, both_y, spec.width, spec.height)
+    frame = _Frame(both_x, both_y)
 
-    lines = [_svg_open(spec.width, spec.height)]
+    lines = [_svg_open(SCATTER_WIDTH, SCATTER_HEIGHT)]
     lines += frame.decor(spec.title)
     for (x, y), c in zip(xy.tolist(), labels.tolist()):
         lines.append(
@@ -175,21 +172,20 @@ def render_clusters(result: ClusteringResult, points: PointSet,
 
 def render_topk_bars(left: TopKTable, right: TopKTable,
                      labels: tuple[str, str], path,
-                     score_label: str = "score", width: int = 900,
-                     height: int = 480) -> Path:
+                     score_label: str = "score") -> Path:
     """Two side-by-side bar panels sharing one score scale, rank order kept."""
     if not left.rows or not right.rows:
         raise ValueError("both top-k tables must be non-empty")
     top = _MARGIN["top"]
-    bottom = height - _MARGIN["bottom"]
+    bottom = BARS_HEIGHT - _MARGIN["bottom"]
     inner_h = bottom - top
     gap = 40
-    panel_w = (width - _MARGIN["left"] - _MARGIN["right"] - gap) // 2
+    panel_w = (BARS_WIDTH - _MARGIN["left"] - _MARGIN["right"] - gap) // 2
     peak = max(max(r.score for r in left.rows), max(r.score for r in right.rows))
     if peak <= 0:
         peak = 1.0
 
-    lines = [_svg_open(width, height)]
+    lines = [_svg_open(BARS_WIDTH, BARS_HEIGHT)]
     lines.append(f'<text x="14" y="{top - 8}" font-size="10" '
                  f'fill="#333">{escape(score_label)}</text>')
     for panel, (table, label, color) in enumerate(
@@ -217,7 +213,6 @@ def render_topk_bars(left: TopKTable, right: TopKTable,
 
 
 def write_points_csv(fp: IO[str], xy: np.ndarray) -> None:
-    writer = csv.writer(fp, lineterminator="\n")
-    writer.writerow(["x", "y"])
-    for x, y in xy.tolist():
-        writer.writerow([repr(x), repr(y)])
+    fp.write("x,y\n")
+    fp.write("".join(map("{!r},{!r}\n".format, xy[:, 0].tolist(),
+                         xy[:, 1].tolist())))

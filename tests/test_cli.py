@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from roadnet.cli import main
+from roadnet.cli import build_parser, main
 from conftest import FOUR_POINTS
 from oracles import exhaustive_kmeans_optimum
 
@@ -57,12 +57,60 @@ def test_unknown_command_exits_2(capsys):
     assert exc.value.code == 2
 
 
-def test_bad_damping_exits_2(snap_file, tmp_path):
+@pytest.mark.parametrize("command,flag,value", [
+    ("pagerank", "--damping", "1.5"),
+    ("pagerank", "--tol", "0"),
+    ("pagerank", "--tol", "nan"),
+    ("kmeans", "--tol", "-1"),
+    ("kmeans", "--tol", "nan"),
+    ("pagerank", "--threads", "0"),
+    ("summary", "--seed", "1"),
+    ("degrees", "--threads", "2"),
+], ids=["damping-1.5", "pagerank-tol-0", "pagerank-tol-nan", "kmeans-tol-neg",
+        "kmeans-tol-nan", "threads-0", "summary-seed", "degrees-threads"])
+def test_usage_error_exits_2(snap_file, tmp_path, capsys, command, flag,
+                            value):
     path = snap_file(TRIANGLE)
     with pytest.raises(SystemExit) as exc:
-        run_cli("pagerank", "--input", path, "--out", tmp_path / "o",
-                "--damping", "1.5")
+        run_cli(command, "--input", path, "--out", tmp_path / "o", flag, value)
     assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+    assert "usage: roadnet" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["0", "abc"])
+def test_bad_threads_env_exits_2(snap_file, tmp_path, monkeypatch, capsys,
+                                 value):
+    monkeypatch.setenv("ROADNET_THREADS", value)
+    path = snap_file(TRIANGLE)
+    with pytest.raises(SystemExit) as exc:
+        run_cli("pagerank", "--input", path, "--out", tmp_path / "o")
+    assert exc.value.code == 2
+    assert not (tmp_path / "o").exists()
+    assert "usage: roadnet" in capsys.readouterr().err
+
+
+COMMAND_DESTS = {
+    "summary": set(),
+    "degrees": {"top"},
+    "pagerank": {"threads", "damping", "tol", "max_iter", "top", "directed"},
+    "topk": {"threads", "by", "top", "compare"},
+    "kmeans": {"threads", "seed", "k", "init", "max_iter", "tol", "sample"},
+    "scatter": {"seed", "sample"},
+    "stream": {"threads", "batch_size", "top", "recompute_pagerank"},
+}
+
+
+def test_parser_dests_per_command():
+    """Each command takes only the flags its handler reads; the bench
+    harness parses with build_parser and reads these names."""
+    def dests(command):
+        args = build_parser().parse_args([command, "--input", "x"])
+        return set(vars(args)) - {"command", "handler"}
+
+    files = {"input", "out"}
+    assert {c: dests(c) for c in COMMAND_DESTS} == {
+        c: files | extra for c, extra in COMMAND_DESTS.items()}
 
 
 def test_library_value_error_is_data_error(snap_file, tmp_path, capsys):

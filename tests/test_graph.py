@@ -1,3 +1,5 @@
+import io
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -105,7 +107,9 @@ def test_attributes_carry_degree_breakdown():
 
 def test_table_csv_format():
     table = top_k_by_degree(graph_of([(0, 1), (1, 2)]), 2)
-    assert table.to_csv_string() == (
+    buf = io.StringIO()
+    table.to_csv(buf)
+    assert buf.getvalue() == (
         "node_id,score,attributes\n"
         "1,2,degree=2;indegree=1;outdegree=1\n"
         "0,1,degree=1;indegree=0;outdegree=1\n")

@@ -8,9 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadnet import (EdgeList, EdgeRecord, ParseError, build_graph,
-                     load_edge_list, parse_edge_list, summarize,
-                     write_edge_list)
+from roadnet import (EdgeList, ParseError, build_graph, load_edge_list,
+                     parse_edge_list, summarize, write_edge_list)
 from roadnet import graph_io
 from roadnet.graph_io import (BLOCK_LINES, iter_edge_blocks, iter_edge_lines,
                               pair_keys, split_keys)
@@ -22,7 +21,7 @@ records_strategy = st.lists(
 
 def test_parse_basic():
     edges = parse_edge_list(io.StringIO("# comment\n0\t1\n1\t2\n"), "demo")
-    assert edges.records == [EdgeRecord(0, 1), EdgeRecord(1, 2)]
+    assert edges.records == [(0, 1), (1, 2)]
     assert edges.line_count == 2
     assert edges.source_name == "demo"
 
