@@ -39,7 +39,9 @@ print(f"raw directed lines: {s.directed_edge_count}, "
 graph = build_graph(edges)
 print(f"graph: n={graph.n}, undirected edges={graph.undirected_edge_count}, "
       f"raw arcs={graph.arc_count}")
-print(f"neighbors of intersection 2: {graph.neighbors(2).tolist()}")
+neighbors = graph.undirected_neighbors[
+    graph.undirected_offsets[2]:graph.undirected_offsets[3]]
+print(f"neighbors of intersection 2: {neighbors.tolist()}")
 
 # writing the records back yields the identical sequence on re-parse
 buf = io.StringIO()

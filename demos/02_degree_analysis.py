@@ -2,7 +2,7 @@
 
 import numpy as np
 
-from roadnet import EdgeList, build_graph, degree, degree_stats, top_k_by_degree
+from roadnet import EdgeList, build_graph, degree_stats, top_k_by_degree
 
 # a ring of minor roads with one busy interchange (node 100) connected
 # to every fourth intersection
@@ -15,7 +15,7 @@ graph = build_graph(EdgeList.from_records(records))
 stats = degree_stats(graph)
 
 print(f"n={graph.n}, undirected edges={graph.undirected_edge_count}")
-print(f"degree of dense index 0: {degree(graph, 0)}")
+print(f"degree of dense index 0: {int(graph.degrees[0])}")
 print(f"max degree:    node {stats.max_degree_node[1]} "
       f"with {stats.max_degree_node[2]}")
 print(f"max indegree:  node {stats.max_indegree_node[1]} "

@@ -20,10 +20,6 @@ from .parallel import block_count, block_ranges, run_blocks
 
 INIT_METHODS = ("kmeans++", "uniform-random", "first-k")
 
-# cap on points handled per assignment block, keeps the (block, k) distance
-# buffer small regardless of thread count
-_BLOCK_POINTS = 1 << 20
-
 
 @dataclass(frozen=True)
 class PointSet:
@@ -161,16 +157,20 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     t = points.t
     labels = np.empty(t, dtype=np.int64)
     mind2 = np.empty(t)
-    ranges = block_ranges(t, max(block_count("kmeans", k * t, threads),
-                                 -(-t // _BLOCK_POINTS)))
+    ranges = block_ranges(t, block_count("kmeans", k * t, threads))
 
     def assign(a: int, b: int) -> None:
+        # running minimum over the centroids; strict < keeps ties at the
+        # lowest index, as argmin does
         block = xy[a:b]
-        d2 = np.empty((b - a, k))
-        for i in range(k):
-            d2[:, i] = _sq_dist_to(block, centroids[i])
-        labels[a:b] = np.argmin(d2, axis=1)
-        mind2[a:b] = np.min(d2, axis=1)
+        best, label = mind2[a:b], labels[a:b]
+        best[:] = _sq_dist_to(block, centroids[0])
+        label[:] = 0
+        for i in range(1, k):
+            d2 = _sq_dist_to(block, centroids[i])
+            closer = d2 < best
+            np.copyto(best, d2, where=closer)
+            label[closer] = i
 
     evaluations = 0
     trace: list[float] = []

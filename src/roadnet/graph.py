@@ -54,18 +54,6 @@ class Graph:
     def indegrees(self) -> np.ndarray:
         return np.diff(self.in_offsets)
 
-    def neighbors(self, node: int) -> np.ndarray:
-        """Sorted undirected neighbor list of a dense node index."""
-        if not 0 <= node < self.n:
-            raise IndexError(f"node {node} out of range 0..{self.n - 1}")
-        return self.undirected_neighbors[
-            self.undirected_offsets[node]:self.undirected_offsets[node + 1]]
-
-    def original_id(self, node: int) -> int:
-        if not 0 <= node < self.n:
-            raise IndexError(f"node {node} out of range 0..{self.n - 1}")
-        return int(self.id_map[node])
-
 
 def arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """int64 keys ``src << 32 | dst`` over int64 indices in 0..n-1; they sort
@@ -101,13 +89,6 @@ def csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, neighbors
-
-
-def degree(graph: Graph, node: int) -> int:
-    """Undirected degree (neighbor-list length) of a dense node index."""
-    if not 0 <= node < graph.n:
-        raise IndexError(f"node {node} out of range 0..{graph.n - 1}")
-    return int(graph.undirected_offsets[node + 1] - graph.undirected_offsets[node])
 
 
 @dataclass(frozen=True)

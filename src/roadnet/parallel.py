@@ -4,22 +4,26 @@ Every kernel in this package computes each output element independently of
 how the index space is blocked, so results are bit-identical for any worker
 count; the pool only changes who computes which block.
 
-A kernel splits its work into at most ``threads`` blocks, and only into
+Every kernel splits its work into at most ``threads`` blocks, and only into
 blocks of at least ``MIN_BLOCK_WORK[kernel]`` units: below that, handing a
-block to a second thread costs more than it saves.  The minimums were
-measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
+block to a second thread costs more than it saves.  The blocks run on one
+executor per thread count, kept for the life of the process.  The minimums
+were measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
 (units: arcs gathered per power step) ran 2.5-4x slower in 2 blocks at
 0.19M arcs, broke even between 1.0M and 1.4M arcs, and was faster from
 there up (1.3x at 3.1M; ``np.bincount`` holds the GIL, the gather does
-not).  k-means (units: point-centroid distances per pass, k * t) broke
-even between 0.17M and 0.36M distances as host load varied, and ran
-1.25-1.55x faster at 0.57M.
+not).  k-means (units: point-centroid distances per pass, k * t) ran
+0.64-0.82x as fast in 2 blocks at 0.03-0.06M, broke even between 0.08M and
+0.25M as host load varied (0.99-1.19x at 0.25M), and ran 1.36-1.6x faster
+at 0.49-0.98M.  A fresh process with one solve, as the CLI runs, gains
+less: 0.78-1.00x at 0.25M, 1.01-1.20x at 0.98M, 1.26-1.29x at 2.0-4.2M.
 """
 
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor
+from functools import cache
 
 _ENV_THREADS = "ROADNET_THREADS"
 MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 80_000}
@@ -58,12 +62,18 @@ def block_count(kernel: str, work: int, threads: int) -> int:
     return max(1, min(threads, work // MIN_BLOCK_WORK[kernel]))
 
 
+@cache
+def _pool(threads: int) -> ThreadPoolExecutor:
+    """One executor per thread count, kept for the life of the process:
+    a kernel hands off blocks on every power step or Lloyd pass."""
+    return ThreadPoolExecutor(max_workers=threads)
+
+
 def run_blocks(fn, blocks, threads: int) -> None:
     """Run fn(*block) over blocks; fn writes disjoint output slices."""
     if threads <= 1 or len(blocks) <= 1:
         for block in blocks:
             fn(*block)
         return
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        for _ in pool.map(lambda block: fn(*block), blocks):
-            pass
+    for _ in _pool(threads).map(lambda block: fn(*block), blocks):
+        pass

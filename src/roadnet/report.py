@@ -38,8 +38,10 @@ class ScatterSpec:
 def reservoir_sample_indices(t: int, sample_size: int, seed: int) -> np.ndarray:
     """Indices of a uniform sample of min(sample_size, t) out of range(t).
 
-    Single-pass reservoir replacement with a seeded generator; deterministic
-    per (t, sample_size, seed).
+    Reservoir replacement with a seeded generator; deterministic per
+    (t, sample_size, seed).  Item sample_size + offset draws a slot in
+    0..sample_size + offset and replaces it when the slot is in the
+    reservoir, so each slot ends up holding the last item that drew it.
     """
     if sample_size >= t:
         return np.arange(t, dtype=np.int64)
@@ -48,11 +50,10 @@ def reservoir_sample_indices(t: int, sample_size: int, seed: int) -> np.ndarray:
         return idx
     rng = np.random.default_rng(seed)
     draws = rng.integers(0, np.arange(sample_size, t, dtype=np.int64) + 1)
-    reservoir = idx.tolist()
-    for offset, j in enumerate(draws.tolist()):
-        if j < sample_size:
-            reservoir[j] = sample_size + offset
-    return np.array(reservoir, dtype=np.int64)
+    hits = np.flatnonzero(draws < sample_size)[::-1]  # latest first
+    slots, latest = np.unique(draws[hits], return_index=True)
+    idx[slots] = sample_size + hits[latest]
+    return idx
 
 
 def _fmt(v: float) -> str:

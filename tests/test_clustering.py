@@ -1,8 +1,11 @@
+import sys
+
 import numpy as np
 import pytest
 
 from roadnet import (ClusteringResult, EdgeList, PointSet, edges_to_points,
                      kmeans, kmeans_init, objective)
+from roadnet.clustering import _update_centroids
 from conftest import FOUR_POINTS
 from oracles import (exhaustive_kmeans_optimum, kmeanspp_support,
                      partition_wcss, wcss)
@@ -243,15 +246,96 @@ def test_partition_oracle_agrees_with_wcss():
         wcss(xy.tolist(), means, labels.tolist()), rel=1e-12)
 
 
-def test_kmeans_split_into_blocks_is_bit_identical(monkeypatch):
+def matrix_kmeans(points, k, seed, tolerance, max_iterations=300):
+    """Lloyd's loop as first written: a (t, k) distance matrix reduced by
+    argmin and min on every pass.  The reference the running-minimum,
+    blocked solver must match bit for bit."""
+    xy = points.xy
+    centroids = kmeans_init(points, k, method="kmeans++", seed=seed)
+    trace = []
+    prev_labels = prev_obj = None
+    converged = False
+    iterations = 0
+    while iterations < max_iterations:
+        d2 = np.empty((points.t, k))
+        for i in range(k):
+            d2[:, i] = (xy[:, 0] - centroids[i, 0]) ** 2 \
+                + (xy[:, 1] - centroids[i, 1]) ** 2
+        labels = np.argmin(d2, axis=1)
+        mind2 = np.min(d2, axis=1)
+        iterations += 1
+        obj = float(mind2.sum())
+        trace.append(obj)
+        if prev_labels is not None and np.array_equal(labels, prev_labels):
+            converged = True
+            break
+        if prev_obj is not None and prev_obj - obj < tolerance:
+            converged = True
+            break
+        if iterations == max_iterations:
+            break
+        centroids = _update_centroids(xy, labels, mind2, k)
+        prev_labels, prev_obj = labels, obj
+    return labels, centroids, tuple(trace), iterations, converged
+
+
+@pytest.fixture
+def kmeans_blocks(monkeypatch):
+    """The number of blocks each k-means assignment pass ran in."""
+    from roadnet import parallel
+    counts = []
+
+    def run_blocks(fn, blocks, threads):
+        counts.append(len(blocks))
+        parallel.run_blocks(fn, blocks, threads)
+
+    monkeypatch.setattr(sys.modules["roadnet.clustering"], "run_blocks",
+                        run_blocks)
+    return counts
+
+
+def test_kmeans_split_into_blocks_is_bit_identical(kmeans_blocks, monkeypatch):
     from roadnet import parallel
     monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
     rng = np.random.default_rng(77)
     points = pset(rng.integers(0, 40, size=(500, 2)))  # many exact ties
-    one = kmeans(points, 5, seed=3, tolerance=0.0)
-    for threads in (2, 3, 7):
-        assert parallel.block_count("kmeans", 5 * 500, threads) == threads
-        many = kmeans(points, 5, seed=3, tolerance=0.0, threads=threads)
-        assert np.array_equal(many.assignment, one.assignment)
-        assert np.array_equal(many.centroids, one.centroids)
-        assert many.objective_trace == one.objective_trace
+    labels, centroids, trace, iterations, converged = matrix_kmeans(
+        points, 5, seed=3, tolerance=0.0)
+    assert iterations > 2
+    for threads in (1, 2, 3, 7):
+        kmeans_blocks.clear()
+        result = kmeans(points, 5, seed=3, tolerance=0.0, threads=threads)
+        assert set(kmeans_blocks) == {threads}
+        assert np.array_equal(result.assignment, labels)
+        assert np.array_equal(result.centroids, centroids)
+        assert result.objective_trace == trace
+        assert result.iterations_run == iterations
+        assert result.converged == converged
+        assert result.distance_evaluations == 5 * 500 * iterations
+
+
+def test_kmeans_never_splits_past_the_thread_count(kmeans_blocks):
+    t = (1 << 20) + 3
+    xy = np.zeros((t, 2))
+    xy[:, 0] = np.arange(t) % 1000
+    kmeans(PointSet(xy), 3, init="first-k", max_iterations=1, threads=1)
+    assert kmeans_blocks == [1]
+
+
+def test_blocked_solves_reuse_one_thread_pool(monkeypatch):
+    from roadnet import parallel
+    monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
+    made = []
+
+    class CountingExecutor(parallel.ThreadPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            made.append(1)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingExecutor)
+    rng = np.random.default_rng(78)
+    points = pset(rng.integers(0, 40, size=(300, 2)))
+    for seed in (1, 2):
+        result = kmeans(points, 4, seed=seed, tolerance=0.0, threads=2)
+        assert result.iterations_run > 1
+    assert len(made) <= 1

@@ -5,8 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadnet import (EdgeList, build_graph, degree, degree_stats,
-                     top_k_by_degree)
+from roadnet import EdgeList, build_graph, degree_stats, top_k_by_degree
 from roadnet.graph import arc_keys, csr_from_arcs, sorted_distinct, split_keys
 from conftest import random_records
 from oracles import degree_scan, topk_sort
@@ -20,25 +19,20 @@ def graph_of(records):
     return build_graph(EdgeList.from_records(records))
 
 
+def neighbors(g, v):
+    return g.undirected_neighbors[
+        g.undirected_offsets[v]:g.undirected_offsets[v + 1]]
+
+
 def test_degree_on_path():
     g = graph_of([(0, 1), (1, 2)])
-    assert degree(g, 0) == 1
-    assert degree(g, 1) == 2
-    assert degree(g, 2) == 1
+    assert g.degrees.tolist() == [1, 2, 1]
 
 
 def test_degree_isolated_self_loop_node():
     # node 2 appears only in a self-loop: isolated in the undirected view
     g = graph_of([(0, 1), (2, 2)])
-    assert degree(g, g.id_map.tolist().index(2)) == 0
-
-
-def test_degree_bounds():
-    g = graph_of([(0, 1)])
-    with pytest.raises(IndexError):
-        degree(g, 2)
-    with pytest.raises(IndexError):
-        degree(g, -1)
+    assert g.degrees[g.id_map.tolist().index(2)] == 0
 
 
 def test_degree_stats_hand_count():
@@ -134,11 +128,11 @@ def test_handshake_lemma(records):
 def test_undirected_adjacency_structure(records):
     g = graph_of(records)
     for v in range(g.n):
-        nbrs = g.neighbors(v)
+        nbrs = neighbors(g, v)
         assert np.all(np.diff(nbrs) > 0)  # sorted, no duplicates
         assert v not in nbrs
         for u in nbrs.tolist():
-            assert v in g.neighbors(u)
+            assert v in neighbors(g, u)
 
 
 @given(records_strategy)
@@ -148,7 +142,7 @@ def test_degrees_match_scan_oracle(records):
     deg, indeg, outdeg = degree_scan(records)
     for v in range(g.n):
         node = int(g.id_map[v])
-        assert degree(g, v) == deg[node]
+        assert g.degrees[v] == deg[node]
         assert g.indegrees[v] == indeg[node]
         assert g.outdegrees[v] == outdeg[node]
 
@@ -157,8 +151,7 @@ def test_degree_equals_occurrences_in_neighbor_lists():
     rng = np.random.default_rng(3)
     g = graph_of(random_records(rng, 30, 120))
     counts = np.bincount(g.undirected_neighbors, minlength=g.n)
-    for v in range(g.n):
-        assert degree(g, v) == counts[v]
+    assert np.array_equal(g.degrees, counts)
 
 
 def test_csr_from_arcs_matches_lexsort_reference():

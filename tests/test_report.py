@@ -26,6 +26,33 @@ def spec_for(points, sample=100, seed=1):
                        title="fixture <plot>")
 
 
+def loop_reservoir(t, sample_size, seed):
+    """The reservoir as first written, one Python step per draw: the
+    reference the vectorised sampler must match exactly."""
+    if sample_size >= t:
+        return np.arange(t, dtype=np.int64)
+    idx = np.arange(sample_size, dtype=np.int64)
+    if sample_size == 0:
+        return idx
+    rng = np.random.default_rng(seed)
+    draws = rng.integers(0, np.arange(sample_size, t, dtype=np.int64) + 1)
+    reservoir = idx.tolist()
+    for offset, j in enumerate(draws.tolist()):
+        if j < sample_size:
+            reservoir[j] = sample_size + offset
+    return np.array(reservoir, dtype=np.int64)
+
+
+def test_reservoir_matches_the_loop():
+    for t in [*range(41), 1000, 5000]:
+        for sample in sorted({0, 1, t // 3, t - 1, t, t + 1} - {-1}):
+            for seed in range(5):
+                got = reservoir_sample_indices(t, sample, seed)
+                assert got.dtype == np.int64
+                assert np.array_equal(got, loop_reservoir(t, sample, seed)), \
+                    (t, sample, seed)
+
+
 def test_reservoir_identity_when_sample_covers_all():
     assert reservoir_sample_indices(5, 10, 0).tolist() == [0, 1, 2, 3, 4]
 
