@@ -246,7 +246,7 @@ def _cmd_scatter(args: argparse.Namespace) -> None:
 
 def _cmd_stream(args: argparse.Namespace) -> None:
     last = None
-    count = 0
+    count = unconverged = 0
     with open(args.input, "rb") as reader, \
             open(args.out / "stream.ndjson", "w", encoding="utf-8") as sink:
         stats = run_stream(reader, args.batch_size, k=args.top,
@@ -255,6 +255,11 @@ def _cmd_stream(args: argparse.Namespace) -> None:
         for item in write_ndjson(stats, sink):
             last = item
             count += 1
+            unconverged += item.pagerank_converged is False
+    if unconverged:
+        print(f"roadnet: warning: {args.input}: pagerank stopped at the "
+              f"iteration limit before converging in {unconverged} of "
+              f"{count} batches", file=sys.stderr)
     if last is None:
         print("stream: no data lines")
     else:

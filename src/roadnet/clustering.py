@@ -15,6 +15,7 @@ from typing import IO
 
 import numpy as np
 
+from ._text import Floats, Ints, write_rows
 from .graph_io import EdgeList
 from .parallel import block_count, block_ranges, run_blocks
 
@@ -65,10 +66,9 @@ class ClusteringResult:
 
     def to_csv(self, fp: IO[str], points: PointSet) -> None:
         fp.write("point_index,x,y,cluster\n")
-        fp.write("".join(map("{},{!r},{!r},{}\n".format, range(points.t),
-                             points.xy[:, 0].tolist(),
-                             points.xy[:, 1].tolist(),
-                             self.assignment.tolist())))
+        write_rows(fp, [Ints(np.arange(points.t)), ",", Floats(points.xy[:, 0]),
+                        ",", Floats(points.xy[:, 1]), ",",
+                        Ints(self.assignment), "\n"])
 
 
 def edges_to_points(edges: EdgeList) -> PointSet:
@@ -132,8 +132,13 @@ def kmeans_init(points: PointSet, k: int, method: str = "kmeans++",
     return centroids
 
 
-def _sq_dist_to(xy: np.ndarray, c: np.ndarray) -> np.ndarray:
-    return (xy[:, 0] - c[0]) ** 2 + (xy[:, 1] - c[1]) ** 2
+def _sq_dist_to(xy: np.ndarray, c: np.ndarray, out: np.ndarray | None = None,
+                tmp: np.ndarray | None = None) -> np.ndarray:
+    """(x - cx)**2 + (y - cy)**2 per point, into ``out`` and ``tmp`` when
+    given."""
+    out = np.square(np.subtract(xy[:, 0], c[0], out=out), out=out)
+    tmp = np.square(np.subtract(xy[:, 1], c[1], out=tmp), out=tmp)
+    return np.add(out, tmp, out=out)
 
 
 def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
@@ -157,20 +162,24 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     t = points.t
     labels = np.empty(t, dtype=np.int64)
     mind2 = np.empty(t)
-    ranges = block_ranges(t, block_count("kmeans", k * t, threads))
+    # each block owns its scratch for the whole solve, so a pass allocates
+    # nothing (freed per-pass temporaries stay in each worker's malloc arena)
+    blocks = [(a, b, np.empty(b - a), np.empty(b - a), np.empty(b - a, dtype=bool))
+              for a, b in block_ranges(t, block_count("kmeans", k * t, threads))]
 
-    def assign(a: int, b: int) -> None:
+    def assign(a: int, b: int, d2: np.ndarray, tmp: np.ndarray,
+               closer: np.ndarray) -> None:
         # running minimum over the centroids; strict < keeps ties at the
         # lowest index, as argmin does
         block = xy[a:b]
         best, label = mind2[a:b], labels[a:b]
-        best[:] = _sq_dist_to(block, centroids[0])
+        _sq_dist_to(block, centroids[0], best, tmp)
         label[:] = 0
         for i in range(1, k):
-            d2 = _sq_dist_to(block, centroids[i])
-            closer = d2 < best
+            _sq_dist_to(block, centroids[i], d2, tmp)
+            np.less(d2, best, out=closer)
             np.copyto(best, d2, where=closer)
-            label[closer] = i
+            np.copyto(label, i, where=closer)
 
     evaluations = 0
     trace: list[float] = []
@@ -179,7 +188,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     converged = False
     iterations = 0
     while iterations < max_iterations:
-        run_blocks(assign, ranges, threads)
+        run_blocks(assign, blocks, threads)
         evaluations += k * t
         iterations += 1
         obj = float(mind2.sum())

@@ -12,11 +12,11 @@ were measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
 (units: arcs gathered per power step) ran 2.5-4x slower in 2 blocks at
 0.19M arcs, broke even between 1.0M and 1.4M arcs, and was faster from
 there up (1.3x at 3.1M; ``np.bincount`` holds the GIL, the gather does
-not).  k-means (units: point-centroid distances per pass, k * t) ran
-0.64-0.82x as fast in 2 blocks at 0.03-0.06M, broke even between 0.08M and
-0.25M as host load varied (0.99-1.19x at 0.25M), and ran 1.36-1.6x faster
-at 0.49-0.98M.  A fresh process with one solve, as the CLI runs, gains
-less: 0.78-1.00x at 0.25M, 1.01-1.20x at 0.98M, 1.26-1.29x at 2.0-4.2M.
+not).  k-means (units: point-centroid distances per pass, k * t) was
+measured in fresh processes with one solve each, as the CLI runs it: 2
+blocks ran 0.52-0.88x as fast at 0.12-0.34M, 0.75-0.90x at 0.49M,
+0.99-1.02x at 0.67M, 1.12-1.23x at 0.82-0.98M and 1.08-1.17x at
+1.4-2.0M, so the split starts at 0.7M.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 _ENV_THREADS = "ROADNET_THREADS"
-MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 80_000}
+MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 350_000}
 
 
 def resolve_threads(threads: int | None = None) -> int:

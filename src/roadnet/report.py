@@ -10,11 +10,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO
+from typing import IO, Sequence
 from xml.sax.saxutils import escape
 
 import numpy as np
 
+from ._text import Floats, Ints, Pick, cents, write_rows
 from .clustering import ClusteringResult, PointSet
 from .graph import TopKTable
 
@@ -61,12 +62,27 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
+def _circles(frame: _Frame, xy: np.ndarray) -> list:
+    """Row-template parts of ``<circle cx=".." cy=".." r="1.5"`` per point,
+    the coordinates written as ``_fmt`` writes them."""
+    parts = ['<circle cx="']
+    for v, after in [(frame.px(xy[:, 0]), '" cy="'),
+                     (frame.py(xy[:, 1]), '" r="1.5"')]:
+        c = cents(v)
+        parts += [Ints(c // 100), ".", Ints(c % 100, 2), after]
+    return parts
+
+
 def _tick(v: float) -> str:
     return f"{v:g}"
 
 
 class _Frame:
-    """Maps data coordinates into the pixel plot area, y axis pointing up."""
+    """Maps data coordinates into the pixel plot area, y axis pointing up.
+
+    ``px``/``py`` take a float or a float64 array: the same IEEE operations
+    in the same order either way, and every result is at least the margin.
+    """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
         self.x0 = float(xs.min()) if xs.size else 0.0
@@ -84,10 +100,10 @@ class _Frame:
         self.inner_w = SCATTER_WIDTH - self.left - _MARGIN["right"]
         self.inner_h = SCATTER_HEIGHT - self.top - _MARGIN["bottom"]
 
-    def px(self, x: float) -> float:
+    def px(self, x):
         return self.left + (x - self.x0) / (self.x1 - self.x0) * self.inner_w
 
-    def py(self, y: float) -> float:
+    def py(self, y):
         return self.top + (self.y1 - y) / (self.y1 - self.y0) * self.inner_h
 
     def decor(self, title: str) -> list[str]:
@@ -118,9 +134,16 @@ def _svg_open(width: int, height: int) -> str:
             f'height="{height}" viewBox="0 0 {width} {height}">')
 
 
-def _write_svg(path, lines: list[str]) -> Path:
+def _write_svg(path, lines: list[str], circles: Sequence = (),
+               tail: Sequence[str] = ()) -> Path:
+    """Write each line, one row per point of the ``circles`` row template,
+    then each line of ``tail``."""
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with open(path, "w", encoding="utf-8") as fp:
+        fp.write("".join(line + "\n" for line in lines))
+        if circles:
+            write_rows(fp, circles)
+        fp.write("".join(line + "\n" for line in tail))
     return path
 
 
@@ -132,12 +155,8 @@ def render_scatter(spec: ScatterSpec, path) -> Path:
     lines = [_svg_open(SCATTER_WIDTH, SCATTER_HEIGHT)]
     lines += frame.decor(spec.title)
     lines.append(f'<g fill="{PALETTE[0]}" fill-opacity="0.6">')
-    for x, y in xy.tolist():
-        lines.append(f'<circle cx="{_fmt(frame.px(x))}" '
-                     f'cy="{_fmt(frame.py(y))}" r="1.5"/>')
-    lines.append("</g>")
-    lines.append("</svg>")
-    return _write_svg(path, lines)
+    return _write_svg(path, lines, [*_circles(frame, xy), "/>\n"],
+                      ["</g>", "</svg>"])
 
 
 def render_clusters(result: ClusteringResult, points: PointSet,
@@ -156,19 +175,18 @@ def render_clusters(result: ClusteringResult, points: PointSet,
 
     lines = [_svg_open(SCATTER_WIDTH, SCATTER_HEIGHT)]
     lines += frame.decor(spec.title)
-    for (x, y), c in zip(xy.tolist(), labels.tolist()):
-        lines.append(
-            f'<circle cx="{_fmt(frame.px(x))}" cy="{_fmt(frame.py(y))}" '
-            f'r="1.5" fill="{PALETTE[c % len(PALETTE)]}" fill-opacity="0.6"/>')
+    circles = [*_circles(frame, xy), ' fill="',
+               Pick(labels % len(PALETTE), PALETTE), '" fill-opacity="0.6"/>\n']
+    tail = []
     for cx, cy in result.centroids.tolist():
         px, py = frame.px(cx), frame.py(cy)
-        lines.append(
+        tail.append(
             f'<path class="centroid" data-x="{cx!r}" data-y="{cy!r}" '
             f'stroke="#111" stroke-width="2" '
             f'd="M {_fmt(px - 7)} {_fmt(py)} L {_fmt(px + 7)} {_fmt(py)} '
             f'M {_fmt(px)} {_fmt(py - 7)} L {_fmt(px)} {_fmt(py + 7)}"/>')
-    lines.append("</svg>")
-    return _write_svg(path, lines)
+    tail.append("</svg>")
+    return _write_svg(path, lines, circles, tail)
 
 
 def render_topk_bars(left: TopKTable, right: TopKTable,
@@ -215,5 +233,4 @@ def render_topk_bars(left: TopKTable, right: TopKTable,
 
 def write_points_csv(fp: IO[str], xy: np.ndarray) -> None:
     fp.write("x,y\n")
-    fp.write("".join(map("{!r},{!r}\n".format, xy[:, 0].tolist(),
-                         xy[:, 1].tolist())))
+    write_rows(fp, [Floats(xy[:, 0]), ",", Floats(xy[:, 1]), "\n"])

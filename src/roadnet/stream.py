@@ -31,6 +31,7 @@ class BatchStats:
     cumulative_nodes: int
     top_degree: TopKTable
     top_pagerank: TopKTable | None
+    pagerank_converged: bool | None  # None when PageRank is not recomputed
     wall_time_ms: float
 
     def to_json(self) -> str:
@@ -134,19 +135,21 @@ def run_stream(reader, batch_size: int, k: int = 10,
         started = time.perf_counter()
         top_degree = tracker.add(batch)
         cumulative_edges += batch.line_count
-        top_pr = None
+        top_pr = converged = None
         if recompute_pagerank:
             chunks.append(batch)
             graph = build_graph(EdgeList(
                 np.concatenate([c.from_ids for c in chunks]),
                 np.concatenate([c.to_ids for c in chunks]), source_name))
-            top_pr = top_k_pagerank(pagerank(graph, threads=threads), graph, k)
+            ranks = pagerank(graph, threads=threads)
+            top_pr, converged = top_k_pagerank(ranks, graph, k), ranks.converged
         yield BatchStats(
             batch_index=index,
             cumulative_edges=cumulative_edges,
             cumulative_nodes=tracker.node_id.size,
             top_degree=top_degree,
             top_pagerank=top_pr,
+            pagerank_converged=converged,
             wall_time_ms=(time.perf_counter() - started) * 1e3,
         )
 

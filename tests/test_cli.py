@@ -308,9 +308,26 @@ def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys, args, limit,
     assert sorted(p.name for p in out.iterdir()) == artifacts
 
 
+def test_stream_pagerank_warns_on_unconverged_batches(snap_file, tmp_path,
+                                                     capsys):
+    path = snap_file(PATH_20)
+    out = tmp_path / "o"
+    assert run_cli("stream", "--input", path, "--out", out,
+                   "--batch-size", 5, "--pagerank") == 0
+    assert capsys.readouterr().err == (
+        f"roadnet: warning: {path}: pagerank stopped at the iteration limit "
+        f"before converging in 3 of 4 batches\n")
+    batches = [json.loads(line) for line in
+               (out / "stream.ndjson").read_text().splitlines()]
+    assert [list(b) for b in batches] == [
+        ["batch", "cumulative_edges", "cumulative_nodes", "top_degree",
+         "top_pagerank", "ms"]] * 4
+
+
 @pytest.mark.parametrize("records,args", [
     (PATH_20, ("pagerank", "--max-iter", 200)),
     (TRIANGLE, ("topk", "--by", "pagerank")),
+    (TRIANGLE * 2, ("stream", "--batch-size", 3, "--pagerank")),
 ])
 def test_converged_pagerank_is_silent(snap_file, tmp_path, capsys, records,
                                       args):
