@@ -1,4 +1,4 @@
-"""Per-point text rows built in numpy: the CSV and SVG point writers.
+"""Text rows built in numpy: bulk CSVs, SVG circles and SNAP edge lists.
 
 A row template is a sequence of parts, each one field of every row:
 

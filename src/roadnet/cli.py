@@ -13,6 +13,7 @@ import sys
 from pathlib import Path
 
 from . import __version__
+from ._text import Ints, write_rows
 from .clustering import INIT_METHODS, edges_to_points, kmeans
 from .graph import degree_stats, top_k_by_degree
 from .graph_io import build_graph, load_edge_list, summarize
@@ -144,9 +145,8 @@ def _cmd_degrees(args: argparse.Namespace) -> None:
     stats = degree_stats(graph)
     with open(args.out / "degrees.csv", "w", encoding="utf-8") as fp:
         fp.write("node_id,degree,indegree,outdegree\n")
-        fp.write("".join(map("{},{},{},{}\n".format, graph.id_map.tolist(),
-                             stats.degree.tolist(), stats.indegree.tolist(),
-                             stats.outdegree.tolist())))
+        write_rows(fp, [Ints(graph.id_map), ",", Ints(stats.degree), ",",
+                        Ints(stats.indegree), ",", Ints(stats.outdegree), "\n"])
     maxima = {}
     for label, entry in [("max_degree", stats.max_degree_node),
                          ("max_indegree", stats.max_indegree_node),

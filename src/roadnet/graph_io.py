@@ -30,6 +30,7 @@ from typing import IO, Iterable, Iterator
 
 import numpy as np
 
+from ._text import Ints, write_rows
 from .graph import (Graph, arc_keys, csr_from_arcs, sorted_distinct,
                     split_keys)
 
@@ -65,17 +66,15 @@ class EdgeList:
 
     from_ids: np.ndarray
     to_ids: np.ndarray
-    source_name: str = ""
 
     @classmethod
-    def from_records(cls, records: Iterable[tuple[int, int]],
-                     source_name: str = "") -> "EdgeList":
+    def from_records(cls, records: Iterable[tuple[int, int]]) -> "EdgeList":
         pairs = list(records)
         f = np.array([p[0] for p in pairs], dtype=np.int64)
         t = np.array([p[1] for p in pairs], dtype=np.int64)
         if pairs and (f.min() < 0 or t.min() < 0):
             raise ValueError("node identifiers must be non-negative")
-        return cls(from_ids=f, to_ids=t, source_name=source_name)
+        return cls(from_ids=f, to_ids=t)
 
     @property
     def line_count(self) -> int:
@@ -237,18 +236,16 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
                 return
 
 
-def concat_blocks(blocks: list, source_name: str) -> EdgeList:
+def concat_blocks(blocks: list) -> EdgeList:
     """One EdgeList of (from_ids, to_ids) blocks, in order."""
     empty = np.zeros(0, dtype=np.int64)
     return EdgeList(from_ids=np.concatenate([empty, *(f for f, _ in blocks)]),
-                    to_ids=np.concatenate([empty, *(t for _, t in blocks)]),
-                    source_name=source_name)
+                    to_ids=np.concatenate([empty, *(t for _, t in blocks)]))
 
 
 def parse_edge_list(reader, source_name: str = "<stream>") -> EdgeList:
     """Parse a SNAP edge-list stream into an EdgeList, file order preserved."""
-    return concat_blocks(list(iter_edge_blocks(reader, source_name)),
-                         source_name)
+    return concat_blocks(list(iter_edge_blocks(reader, source_name)))
 
 
 def load_edge_list(path) -> EdgeList:
@@ -258,9 +255,9 @@ def load_edge_list(path) -> EdgeList:
 
 
 def write_edge_list(edges: EdgeList, fp: IO[str]) -> None:
-    """Write records back in SNAP format; re-parsing yields the same records."""
-    for u, v in zip(edges.from_ids.tolist(), edges.to_ids.tolist()):
-        fp.write(f"{u}\t{v}\n")
+    """Write records back in SNAP format; re-parsing yields the same records.
+    A negative ID, which the parser refuses, raises ValueError."""
+    write_rows(fp, [Ints(edges.from_ids), "\t", Ints(edges.to_ids), "\n"])
 
 
 def dense_indices(f: np.ndarray, t: np.ndarray):

@@ -17,6 +17,7 @@ from typing import IO
 
 import numpy as np
 
+from ._text import Floats, Ints, write_rows
 from .graph import Graph, TopKTable, table_from_scores
 from .parallel import block_count, block_ranges, run_blocks
 
@@ -34,8 +35,7 @@ class PageRankVector:
 
     def to_csv(self, fp: IO[str], graph: Graph) -> None:
         fp.write("node_id,score\n")
-        fp.write("".join(map("{},{!r}\n".format, graph.id_map.tolist(),
-                             self.scores.tolist())))
+        write_rows(fp, [Ints(graph.id_map), ",", Floats(self.scores), "\n"])
 
 
 def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,

@@ -9,9 +9,9 @@ the files testable by text inspection.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from html import escape
 from pathlib import Path
 from typing import IO, Sequence
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -124,7 +124,7 @@ class _Frame:
         if title:
             parts.append(
                 f'<text x="{SCATTER_WIDTH // 2}" y="18" font-size="13" '
-                f'fill="#111" text-anchor="middle">{escape(title)}</text>')
+                f'fill="#111" text-anchor="middle">{escape(title, quote=False)}</text>')
         return parts
 
 
@@ -206,13 +206,13 @@ def render_topk_bars(left: TopKTable, right: TopKTable,
 
     lines = [_svg_open(BARS_WIDTH, BARS_HEIGHT)]
     lines.append(f'<text x="14" y="{top - 8}" font-size="10" '
-                 f'fill="#333">{escape(score_label)}</text>')
+                 f'fill="#333">{escape(score_label, quote=False)}</text>')
     for panel, (table, label, color) in enumerate(
             [(left, labels[0], PALETTE[0]), (right, labels[1], PALETTE[1])]):
         x0 = _MARGIN["left"] + panel * (panel_w + gap)
         lines.append(
             f'<text x="{x0 + panel_w // 2}" y="18" font-size="13" fill="#111" '
-            f'text-anchor="middle">{escape(label)}</text>')
+            f'text-anchor="middle">{escape(label, quote=False)}</text>')
         lines.append(f'<line x1="{x0}" y1="{bottom}" x2="{x0 + panel_w}" '
                      f'y2="{bottom}" stroke="#333"/>')
         slot = panel_w / len(table.rows)

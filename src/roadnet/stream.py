@@ -63,14 +63,14 @@ def stream_batches(reader, batch_size: int,
         count += block[0].size
         if count < batch_size:
             continue
-        edges = concat_blocks(held, source_name)
+        edges = concat_blocks(held)
         cut = count - count % batch_size
         for i in range(0, cut, batch_size):
             yield EdgeList(edges.from_ids[i:i + batch_size],
-                           edges.to_ids[i:i + batch_size], source_name)
+                           edges.to_ids[i:i + batch_size])
         held, count = [(edges.from_ids[cut:], edges.to_ids[cut:])], count - cut
     if count:
-        yield concat_blocks(held, source_name)
+        yield concat_blocks(held)
 
 
 class _DegreeTracker:
@@ -140,7 +140,7 @@ def run_stream(reader, batch_size: int, k: int = 10,
             chunks.append(batch)
             graph = build_graph(EdgeList(
                 np.concatenate([c.from_ids for c in chunks]),
-                np.concatenate([c.to_ids for c in chunks]), source_name))
+                np.concatenate([c.to_ids for c in chunks])))
             ranks = pagerank(graph, threads=threads)
             top_pr, converged = top_k_pagerank(ranks, graph, k), ranks.converged
         yield BatchStats(

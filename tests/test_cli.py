@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -334,3 +338,20 @@ def test_converged_pagerank_is_silent(snap_file, tmp_path, capsys, records,
     assert run_cli(*args, "--input", snap_file(records),
                    "--out", tmp_path / "o") == 0
     assert capsys.readouterr().err == ""
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client, email
+    # and ssl (with OpenSSL), which every command would pay for at start-up
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
+                                                      env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, roadnet.cli; print(*sys.modules)"],
+        env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "roadnet.cli" in loaded
+    assert not loaded & {"xml.sax", "urllib.request", "http.client", "ssl",
+                         "email"}
