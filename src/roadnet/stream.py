@@ -1,11 +1,12 @@
 """Micro-batch ingestion with live cumulative top-k statistics.
 
 The edge stream is consumed in fixed-size chunks of data lines.  Each batch
-is merged into numpy degree state (arrival-order node slots and the sorted
-``pair_keys`` seen so far), and the top-k by undirected degree is re-ranked
-over the previous top-k plus the batch's nodes alone; optionally the
-cumulative graph is rebuilt and ranked by PageRank per batch.  Every batch's
-table equals the batch pipeline's on the prefix read, same tie rules included.
+is merged into numpy degree state (node slots and the sorted ``pair_keys``
+seen so far), and the top-k by undirected degree is re-ranked over the
+previous top-k plus the batch's nodes that beat the weakest of them;
+optionally the cumulative graph is rebuilt and ranked by PageRank per batch.
+Every batch's table equals the batch pipeline's on the prefix read, same tie
+rules included.
 """
 
 from __future__ import annotations
@@ -76,18 +77,42 @@ def stream_batches(reader, batch_size: int,
 class _DegreeTracker:
     """Cumulative degrees and top-k table over a stream of arcs.
 
-    Nodes get stable slots in arrival order; ``ids`` (sorted) and ``slot_of``
-    map node IDs to slots, and ``node_id`` and the rows of ``counts`` (degree,
-    indegree, outdegree) are indexed by slot.  ``keys`` are the ``pair_keys``
-    over slots so far.  ``ids``, ``slot_of`` and ``keys`` start with a -1
-    sentinel, so ``searchsorted(side="right") - 1`` always indexes an entry.
+    Slots are assigned batch by batch, and in ID order within a batch, so the
+    nodes of earlier batches keep theirs.  ``ids`` (sorted) and ``slot_of``
+    map node IDs to slots, and ``node_id`` and the rows of ``counts``
+    (degree, indegree, outdegree) are indexed by slot.  ``keys`` are the
+    ``pair_keys`` over slots so far.  ``ids``, ``slot_of`` and ``keys`` start
+    with a -1 sentinel, so ``searchsorted(side="right") - 1`` always indexes
+    an entry.
+
+    ``node_id`` and ``counts`` have a capacity that doubles when outgrown:
+    slots ``0..n-1`` are in use and ``counts`` is zero past them, so a batch
+    touches only its own slots.  The sorted inserts are the one per-batch
+    cost that grows with the prefix.
+
+    Once ``top`` holds k slots, only the old leaders and those batch nodes
+    that beat the weakest old leader (current degree desc, ID asc) are
+    ranked.  That is exact: degrees only grow, so a node outside the batch
+    still trails all k old leaders, and a batch node that does not beat the
+    weakest of them trails them all too.
     """
 
     def __init__(self, k: int):
-        self.k = k
+        self.k, self.n = k, 0
         self.ids = self.slot_of = self.keys = np.full(1, -1, dtype=np.int64)
         self.node_id = self.top = np.zeros(0, dtype=np.int64)
         self.counts = np.zeros((3, 0), dtype=np.int64)
+
+    def _reserve(self, n: int) -> None:
+        """Grow ``node_id`` and ``counts`` to hold n slots, at least doubling."""
+        if n <= self.node_id.size:
+            return
+        cap = max(n, 2 * self.node_id.size)
+        node_id = np.empty(cap, dtype=np.int64)
+        node_id[:self.n] = self.node_id[:self.n]
+        counts = np.zeros((3, cap), dtype=np.int64)
+        counts[:, :self.n] = self.counts[:, :self.n]
+        self.node_id, self.counts = node_id, counts
 
     def add(self, edges: EdgeList) -> TopKTable:
         """Merge one batch of arcs; return the new top-k table."""
@@ -95,24 +120,31 @@ class _DegreeTracker:
         pos = np.searchsorted(self.ids, batch_ids, side="right")
         fresh = self.ids[pos - 1] != batch_ids
         slots = self.slot_of[pos - 1]
-        n = self.node_id.size + int(np.count_nonzero(fresh))
-        slots[fresh] = np.arange(self.node_id.size, n)
+        n = self.n + int(np.count_nonzero(fresh))
+        slots[fresh] = np.arange(self.n, n)
         self.ids = np.insert(self.ids, pos[fresh], batch_ids[fresh])
         self.slot_of = np.insert(self.slot_of, pos[fresh], slots[fresh])
-        self.node_id = np.concatenate([self.node_id, batch_ids[fresh]])
-        src, dst = slots[src], slots[dst]
-        keys = pair_keys(src, dst, n)
+        self._reserve(n)
+        self.node_id[self.n:n] = batch_ids[fresh]
+        self.n = n
+        deg, indeg, outdeg = self.counts
+        indeg[slots] += np.bincount(dst, minlength=slots.size)
+        outdeg[slots] += np.bincount(src, minlength=slots.size)
+        keys = pair_keys(slots[src], slots[dst], n)
         at = np.searchsorted(self.keys, keys, side="right")
         unseen = self.keys[at - 1] != keys
         self.keys = np.insert(self.keys, at[unseen], keys[unseen])
-        ends = np.concatenate(split_keys(keys[unseen]))
-        self.counts = np.pad(self.counts, ((0, 0), (0, n - self.counts.shape[1])))
-        self.counts += [np.bincount(x, minlength=n) for x in (ends, dst, src)]
-        # Ranking the old top-k plus the batch's nodes is exact: degrees only
-        # grow and (degree desc, ID asc) is a strict total order, so a node
-        # outside both still has the k old leaders above it.
-        cand = sorted_distinct(np.concatenate([self.top, slots]))
-        self.top = cand[top_k_order(self.counts[0, cand], self.node_id[cand], self.k)]
+        ends, times = np.unique(np.concatenate(split_keys(keys[unseen])),
+                                return_counts=True)
+        deg[ends] += times
+        cand = slots  # slots[i] holds batch_ids[i]
+        if self.top.size == self.k:
+            low = deg[self.top].min()
+            last = self.node_id[self.top][deg[self.top] == low].max()
+            d = deg[slots]
+            cand = slots[(d > low) | ((d == low) & (batch_ids < last))]
+        cand = sorted_distinct(np.concatenate([self.top, cand]))
+        self.top = cand[top_k_order(deg[cand], self.node_id[cand], self.k)]
         counts = self.counts[:, self.top].T.tolist()  # [degree, indegree, outdegree]
         rows = tuple(TopKRow(node, c[0], degree_attributes(*c))
                      for node, c in zip(self.node_id[self.top].tolist(), counts))
@@ -146,7 +178,7 @@ def run_stream(reader, batch_size: int, k: int = 10,
         yield BatchStats(
             batch_index=index,
             cumulative_edges=cumulative_edges,
-            cumulative_nodes=tracker.node_id.size,
+            cumulative_nodes=tracker.n,
             top_degree=top_degree,
             top_pagerank=top_pr,
             pagerank_converged=converged,

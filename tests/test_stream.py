@@ -7,8 +7,12 @@ import pytest
 from roadnet import (DatasetSummary, EdgeList, ParseError, build_graph,
                      pagerank, run_stream, stream_batches, summarize,
                      top_k_by_degree, top_k_pagerank, write_edge_list)
-from roadnet.graph_io import BLOCK_LINES, iter_edge_lines
-from roadnet.stream import write_ndjson
+import roadnet.stream
+from roadnet.graph import (TopKRow, TopKTable, degree_attributes,
+                           sorted_distinct, split_keys, top_k_order)
+from roadnet.graph_io import (BLOCK_LINES, dense_indices, iter_edge_lines,
+                              pair_keys)
+from roadnet.stream import _DegreeTracker, write_ndjson
 from conftest import random_records
 
 
@@ -228,3 +232,157 @@ def test_edge_inputs_every_batch(batch_size):
     assert json.loads(stats[-1].to_json())["top_degree"][1] == {
         "node": BIG, "score": 2}
 
+
+
+class ReferenceTracker:
+    """The tracker as it was before capacity-doubled state and the threshold
+    filter, kept verbatim as the reference the current one must match."""
+
+    def __init__(self, k: int):
+        self.k = k
+        self.ids = self.slot_of = self.keys = np.full(1, -1, dtype=np.int64)
+        self.node_id = self.top = np.zeros(0, dtype=np.int64)
+        self.counts = np.zeros((3, 0), dtype=np.int64)
+
+    def add(self, edges: EdgeList) -> TopKTable:
+        """Merge one batch of arcs; return the new top-k table."""
+        batch_ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
+        pos = np.searchsorted(self.ids, batch_ids, side="right")
+        fresh = self.ids[pos - 1] != batch_ids
+        slots = self.slot_of[pos - 1]
+        n = self.node_id.size + int(np.count_nonzero(fresh))
+        slots[fresh] = np.arange(self.node_id.size, n)
+        self.ids = np.insert(self.ids, pos[fresh], batch_ids[fresh])
+        self.slot_of = np.insert(self.slot_of, pos[fresh], slots[fresh])
+        self.node_id = np.concatenate([self.node_id, batch_ids[fresh]])
+        src, dst = slots[src], slots[dst]
+        keys = pair_keys(src, dst, n)
+        at = np.searchsorted(self.keys, keys, side="right")
+        unseen = self.keys[at - 1] != keys
+        self.keys = np.insert(self.keys, at[unseen], keys[unseen])
+        ends = np.concatenate(split_keys(keys[unseen]))
+        self.counts = np.pad(self.counts, ((0, 0), (0, n - self.counts.shape[1])))
+        self.counts += [np.bincount(x, minlength=n) for x in (ends, dst, src)]
+        # Ranking the old top-k plus the batch's nodes is exact: degrees only
+        # grow and (degree desc, ID asc) is a strict total order, so a node
+        # outside both still has the k old leaders above it.
+        cand = sorted_distinct(np.concatenate([self.top, slots]))
+        self.top = cand[top_k_order(self.counts[0, cand], self.node_id[cand], self.k)]
+        counts = self.counts[:, self.top].T.tolist()  # [degree, indegree, outdegree]
+        rows = tuple(TopKRow(node, c[0], degree_attributes(*c))
+                     for node, c in zip(self.node_id[self.top].tolist(), counts))
+        return TopKTable(rows=rows, k=self.k)
+
+
+def assert_tracker_matches_reference(batches, k):
+    """Feed both trackers the same batches; compare every table and count."""
+    tracker, reference = _DegreeTracker(k), ReferenceTracker(k)
+    tables = []
+    for index, batch in enumerate(batches, start=1):
+        table = tracker.add(batch)
+        assert table == reference.add(batch), index
+        assert tracker.n == reference.node_id.size, index
+        tables.append([row.node_id for row in table.rows])
+    return tables
+
+
+def cut_batches(arcs, batch_size):
+    """EdgeList batches of batch_size rows of an (m, 2) arc array."""
+    return [EdgeList(arcs[i:i + batch_size, 0].copy(),
+                     arcs[i:i + batch_size, 1].copy())
+            for i in range(0, len(arcs), batch_size)]
+
+
+def random_arcs(rng, ids, m):
+    """m arcs over the ID pool, a tenth of them self-loops and a tenth
+    repeats of earlier arcs."""
+    arcs = rng.choice(ids, size=(m, 2))
+    loops = rng.random(m) < 0.1
+    arcs[loops, 1] = arcs[loops, 0]
+    again = np.flatnonzero(rng.random(m) < 0.1)
+    arcs[again] = arcs[rng.integers(0, again + 1)]
+    return arcs
+
+
+ID_POOLS = {
+    "tiny": np.arange(6, dtype=np.int64),
+    "small": np.arange(40, dtype=np.int64),
+    "near_max": np.concatenate([np.arange(20), BIG - np.arange(20)]),
+    "wide": np.arange(0, 2**62, 2**62 // 3000, dtype=np.int64),
+}
+
+
+@pytest.mark.parametrize("batch_size,m", [(1, 300), (7, 700), (2500, 8000)])
+@pytest.mark.parametrize("pool", sorted(ID_POOLS))
+def test_tracker_matches_reference_on_random_streams(batch_size, m, pool):
+    rng = np.random.default_rng([batch_size, sorted(ID_POOLS).index(pool)])
+    batches = cut_batches(random_arcs(rng, ID_POOLS[pool], m), batch_size)
+    for k in (1, 3, 10, 10_000):  # 10,000 exceeds every node count
+        assert_tracker_matches_reference(batches, k)
+
+
+def edge_batches(*batches):
+    return [EdgeList.from_records(records) for records in batches]
+
+
+def test_equal_degree_lower_id_displaces_weakest_leader():
+    # after batch 1 the table is full: 5 and 6 at degree 1; in batch 3,
+    # node 1 reaches degree 1 and beats 6, the weakest leader, on the ID
+    tops = assert_tracker_matches_reference(
+        edge_batches([(5, 6)], [(5, 7)], [(1, 9)]), k=2)
+    assert tops == [[5, 6], [5, 6], [5, 1]]
+
+
+def test_weakest_leader_measured_after_its_own_growth():
+    # after batch 1: 5 at degree 3 leads 9 at degree 1.  In batch 2, 9 grows
+    # to 4, so 5 becomes the weakest leader, and 2 ties it at 3 with a lower
+    # ID; a threshold taken from the old order would keep 5 instead of 2
+    tops = assert_tracker_matches_reference(edge_batches(
+        [(5, 10), (5, 11), (5, 12), (9, 13)],
+        [(9, 14), (9, 15), (9, 16), (2, 17), (2, 18), (2, 19)]), k=2)
+    assert tops == [[5, 9], [9, 2]]
+
+
+def lattice_batches(side, batch_size):
+    """Both arcs of every edge of a side x side lattice (row-major IDs),
+    sorted by from-ID as in the SNAP files, cut into batches."""
+    cell = np.arange(side * side, dtype=np.int64).reshape(side, side)
+    pairs = np.concatenate([
+        np.column_stack([cell[:, :-1].ravel(), cell[:, 1:].ravel()]),
+        np.column_stack([cell[:-1].ravel(), cell[1:].ravel()])])
+    arcs = np.concatenate([pairs, pairs[:, ::-1]])
+    return cut_batches(arcs[np.lexsort((arcs[:, 1], arcs[:, 0]))], batch_size)
+
+
+def test_counts_reallocated_logarithmically():
+    batches = lattice_batches(120, 500)
+    tracker = _DegreeTracker(10)
+    held, reallocations = tracker.counts, 0
+    for batch in batches:
+        tracker.add(batch)
+        if tracker.counts is not held:
+            held, reallocations = tracker.counts, reallocations + 1
+    assert len(batches) > 100 and tracker.n == 120 * 120
+    assert reallocations <= np.log2(tracker.n) + 2
+
+
+def test_ranked_candidates_stay_near_k(monkeypatch):
+    # read in from-ID order, a lattice's lowest-ID nodes of degree 4 lead
+    # early, so few later batch nodes beat the weakest of them
+    ranked = []
+
+    def spy(scores, ids, k):
+        ranked.append(scores.size)
+        return top_k_order(scores, ids, k)
+
+    monkeypatch.setattr(roadnet.stream, "top_k_order", spy)
+    k = 10
+    tracker = _DegreeTracker(k)
+    for batch in lattice_batches(100, 500):
+        full = tracker.top.size == k
+        tracker.add(batch)
+        if full:
+            batch_nodes = np.unique(np.concatenate(
+                [batch.from_ids, batch.to_ids])).size
+            assert ranked[-1] <= 2 * k < batch_nodes
+    assert len(ranked) == 80
