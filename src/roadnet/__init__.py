@@ -9,8 +9,7 @@ __version__ = "0.1.0"
 
 from .clustering import (ClusteringResult, PointSet, edges_to_points, kmeans,
                          kmeans_init, objective)
-from .graph import (DegreeStats, Graph, TopKRow, TopKTable, degree_stats,
-                    top_k_by_degree)
+from .graph import Graph, TopKRow, TopKTable, top_k_by_degree
 from .graph_io import (DatasetSummary, EdgeList, ParseError, build_graph,
                        load_edge_list, parse_edge_list, summarize,
                        write_edge_list)
@@ -24,8 +23,7 @@ __all__ = [
     "EdgeList", "DatasetSummary", "ParseError",
     "parse_edge_list", "load_edge_list", "write_edge_list", "summarize",
     "build_graph",
-    "Graph", "DegreeStats", "TopKRow", "TopKTable",
-    "degree_stats", "top_k_by_degree",
+    "Graph", "TopKRow", "TopKTable", "top_k_by_degree",
     "PageRankVector", "pagerank", "top_k_pagerank",
     "PointSet", "ClusteringResult",
     "edges_to_points", "objective", "kmeans_init", "kmeans",

@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from ._text import Ints, write_rows
 from .clustering import INIT_METHODS, edges_to_points, kmeans
-from .graph import degree_stats, top_k_by_degree
+from .graph import top_k_by_degree
 from .graph_io import build_graph, load_edge_list, summarize
 from .pagerank import pagerank, top_k_pagerank
 from .parallel import resolve_threads
@@ -142,20 +142,21 @@ def _cmd_summary(args: argparse.Namespace) -> None:
 
 def _cmd_degrees(args: argparse.Namespace) -> None:
     graph = build_graph(load_edge_list(args.input))
-    stats = degree_stats(graph)
     with open(args.out / "degrees.csv", "w", encoding="utf-8") as fp:
         fp.write("node_id,degree,indegree,outdegree\n")
-        write_rows(fp, [Ints(graph.id_map), ",", Ints(stats.degree), ",",
-                        Ints(stats.indegree), ",", Ints(stats.outdegree), "\n"])
+        write_rows(fp, [Ints(graph.id_map), ",", Ints(graph.degrees), ",",
+                        Ints(graph.indegrees), ",", Ints(graph.outdegrees), "\n"])
     maxima = {}
-    for label, entry in [("max_degree", stats.max_degree_node),
-                         ("max_indegree", stats.max_indegree_node),
-                         ("max_outdegree", stats.max_outdegree_node)]:
-        if entry is None:
+    for label, values in [("max_degree", graph.degrees),
+                          ("max_indegree", graph.indegrees),
+                          ("max_outdegree", graph.outdegrees)]:
+        if graph.n == 0:
             maxima[label] = None
             print(f"{label}: none (empty graph)")
         else:
-            _, node_id, value = entry
+            # the first maximum wins; id_map ascends, so that is the lowest ID
+            i = int(values.argmax())
+            node_id, value = int(graph.id_map[i]), int(values[i])
             maxima[label] = {"node": node_id, "value": value}
             print(f"{label}: node {node_id} value {value}")
     (args.out / "degree_stats.json").write_text(

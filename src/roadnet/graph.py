@@ -48,11 +48,16 @@ class Graph:
 
     @cached_property
     def degrees(self) -> np.ndarray:
-        return np.diff(self.undirected_offsets)
+        return _frozen(np.diff(self.undirected_offsets))
 
     @cached_property
     def indegrees(self) -> np.ndarray:
-        return np.diff(self.in_offsets)
+        return _frozen(np.diff(self.in_offsets))
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
 
 
 def arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -89,41 +94,6 @@ def csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])
     return offsets, neighbors
-
-
-@dataclass(frozen=True)
-class DegreeStats:
-    """Per-node degree arrays plus the argmax of each, as
-    (dense index, original ID, value); None on an empty graph."""
-
-    degree: np.ndarray
-    indegree: np.ndarray
-    outdegree: np.ndarray
-    max_degree_node: tuple[int, int, int] | None
-    max_indegree_node: tuple[int, int, int] | None
-    max_outdegree_node: tuple[int, int, int] | None
-
-
-def _argmax_entry(graph: Graph, values: np.ndarray):
-    if values.size == 0:
-        return None
-    # first argmax wins; id_map is ascending, so that is the lowest original ID
-    i = int(np.argmax(values))
-    return (i, int(graph.id_map[i]), int(values[i]))
-
-
-def degree_stats(graph: Graph) -> DegreeStats:
-    deg = graph.degrees
-    indeg = graph.indegrees
-    outdeg = graph.outdegrees
-    return DegreeStats(
-        degree=deg,
-        indegree=indeg,
-        outdegree=outdeg,
-        max_degree_node=_argmax_entry(graph, deg),
-        max_indegree_node=_argmax_entry(graph, indeg),
-        max_outdegree_node=_argmax_entry(graph, outdeg),
-    )
 
 
 class TopKRow(NamedTuple):
@@ -174,23 +144,27 @@ def degree_attributes(deg: int, indeg: int, outdeg: int) -> tuple[str, str, str]
     return (f"degree={deg}", f"indegree={indeg}", f"outdegree={outdeg}")
 
 
+def top_k_table(node_ids: np.ndarray, scores: np.ndarray, counts,
+                chosen: np.ndarray, k: int) -> TopKTable:
+    """TopKTable of the ``chosen`` indices, in the order given, with the
+    (degree, indegree, outdegree) ``counts`` arrays as attributes."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    rows = tuple(
+        TopKRow(node, score, degree_attributes(*c))
+        for node, score, c in zip(node_ids[chosen].tolist(),
+                                  scores[chosen].tolist(),
+                                  zip(*(a[chosen].tolist() for a in counts))))
+    return TopKTable(rows=rows, k=k)
+
+
 def table_from_scores(graph: Graph, scores: np.ndarray, k: int) -> TopKTable:
     """Rank dense-index scores into a TopKTable with degree-breakdown attributes."""
-    chosen = top_k_order(scores, graph.id_map, k)
-    deg, indeg, outdeg = graph.degrees, graph.indegrees, graph.outdegrees
-    rows = tuple(
-        TopKRow(
-            node_id=int(graph.id_map[v]),
-            score=scores[v].item(),
-            attributes=degree_attributes(int(deg[v]), int(indeg[v]), int(outdeg[v])),
-        )
-        for v in chosen
-    )
-    return TopKTable(rows=rows, k=k)
+    return top_k_table(graph.id_map, scores,
+                       (graph.degrees, graph.indegrees, graph.outdegrees),
+                       top_k_order(scores, graph.id_map, k), k)
 
 
 def top_k_by_degree(graph: Graph, k: int) -> TopKTable:
     """Table of the k highest-undirected-degree nodes."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return table_from_scores(graph, graph.degrees, k)

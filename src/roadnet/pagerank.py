@@ -114,6 +114,4 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
 
 def top_k_pagerank(ranks: PageRankVector, graph: Graph, k: int) -> TopKTable:
     """Table of the k highest-scoring nodes, degree breakdown as attributes."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
     return table_from_scores(graph, ranks.scores, k)

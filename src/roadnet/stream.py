@@ -18,8 +18,8 @@ from typing import IO, Iterator
 
 import numpy as np
 
-from .graph import (TopKRow, TopKTable, degree_attributes, sorted_distinct,
-                    split_keys, top_k_order)
+from .graph import (TopKTable, sorted_distinct, split_keys, top_k_order,
+                    top_k_table)
 from .graph_io import (EdgeList, build_graph, concat_blocks, dense_indices,
                        iter_edge_blocks, pair_keys)
 from .pagerank import pagerank, top_k_pagerank
@@ -145,10 +145,7 @@ class _DegreeTracker:
             cand = slots[(d > low) | ((d == low) & (batch_ids < last))]
         cand = sorted_distinct(np.concatenate([self.top, cand]))
         self.top = cand[top_k_order(deg[cand], self.node_id[cand], self.k)]
-        counts = self.counts[:, self.top].T.tolist()  # [degree, indegree, outdegree]
-        rows = tuple(TopKRow(node, c[0], degree_attributes(*c))
-                     for node, c in zip(self.node_id[self.top].tolist(), counts))
-        return TopKTable(rows=rows, k=self.k)
+        return top_k_table(self.node_id, deg, self.counts, self.top, self.k)
 
 
 def run_stream(reader, batch_size: int, k: int = 10,
@@ -159,7 +156,7 @@ def run_stream(reader, batch_size: int, k: int = 10,
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     tracker = _DegreeTracker(k)
-    chunks: list[EdgeList] = []
+    prefix = concat_blocks([])  # every arc read so far, for --pagerank
     cumulative_edges = 0
 
     for index, batch in enumerate(stream_batches(reader, batch_size,
@@ -169,10 +166,9 @@ def run_stream(reader, batch_size: int, k: int = 10,
         cumulative_edges += batch.line_count
         top_pr = converged = None
         if recompute_pagerank:
-            chunks.append(batch)
-            graph = build_graph(EdgeList(
-                np.concatenate([c.from_ids for c in chunks]),
-                np.concatenate([c.to_ids for c in chunks])))
+            prefix = concat_blocks([(prefix.from_ids, prefix.to_ids),
+                                    (batch.from_ids, batch.to_ids)])
+            graph = build_graph(prefix)
             ranks = pagerank(graph, threads=threads)
             top_pr, converged = top_k_pagerank(ranks, graph, k), ranks.converged
         yield BatchStats(

@@ -1,11 +1,14 @@
 import io
+import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from roadnet import EdgeList, build_graph, degree_stats, top_k_by_degree
+import roadnet
+from roadnet import EdgeList, build_graph, top_k_by_degree
+from roadnet.cli import main
 from roadnet.graph import arc_keys, csr_from_arcs, sorted_distinct, split_keys
 from conftest import random_records
 from oracles import degree_scan, topk_sort
@@ -35,29 +38,67 @@ def test_degree_isolated_self_loop_node():
     assert g.degrees[g.id_map.tolist().index(2)] == 0
 
 
-def test_degree_stats_hand_count():
-    g = graph_of([(0, 1), (1, 0), (1, 2)])
-    stats = degree_stats(g)
-    assert stats.outdegree.tolist() == [1, 2, 0]
-    assert stats.indegree.tolist() == [1, 1, 1]
-    assert stats.degree.tolist() == [1, 2, 1]
-    assert stats.max_degree_node == (1, 1, 2)
-    assert stats.indegree.sum() == stats.outdegree.sum() == g.arc_count
+def run_degrees(path, out, capsys):
+    """``degree_stats.json`` and the stdout lines of the degrees command."""
+    assert main(["degrees", "--input", str(path), "--out", str(out)]) == 0
+    maxima = json.loads((out / "degree_stats.json").read_text())
+    return maxima, capsys.readouterr().out.splitlines()
 
 
-def test_degree_stats_empty_graph():
-    g = graph_of([])
-    stats = degree_stats(g)
-    assert stats.degree.size == 0
-    assert stats.max_degree_node is None
-    assert stats.max_indegree_node is None
-    assert stats.max_outdegree_node is None
+def test_degree_stats_hand_count(snap_file, tmp_path, capsys):
+    records = [(0, 1), (1, 0), (1, 2)]
+    g = graph_of(records)
+    assert g.outdegrees.tolist() == [1, 2, 0]
+    assert g.indegrees.tolist() == [1, 1, 1]
+    assert g.degrees.tolist() == [1, 2, 1]
+    assert g.indegrees.sum() == g.outdegrees.sum() == g.arc_count
+    maxima, stdout = run_degrees(snap_file(records), tmp_path / "out", capsys)
+    assert maxima == {"max_degree": {"node": 1, "value": 2},
+                      "max_indegree": {"node": 0, "value": 1},
+                      "max_outdegree": {"node": 1, "value": 2}}
+    assert stdout == ["max_degree: node 1 value 2",
+                      "max_indegree: node 0 value 1",
+                      "max_outdegree: node 1 value 2"]
 
 
-def test_degree_stats_tie_breaks_to_lowest_id():
-    # both endpoints have degree 1; the smaller original ID wins
-    stats = degree_stats(graph_of([(9, 5)]))
-    assert stats.max_degree_node == (0, 5, 1)
+def test_degree_stats_empty_graph(snap_file, tmp_path, capsys):
+    path = snap_file([], header="# only a comment")
+    maxima, stdout = run_degrees(path, tmp_path / "out", capsys)
+    assert maxima == {"max_degree": None, "max_indegree": None,
+                      "max_outdegree": None}
+    assert stdout == ["max_degree: none (empty graph)",
+                      "max_indegree: none (empty graph)",
+                      "max_outdegree: none (empty graph)"]
+    assert (tmp_path / "out" / "degree_stats.json").read_text() == (
+        '{\n  "max_degree": null,\n  "max_indegree": null,\n'
+        '  "max_outdegree": null\n}\n')
+
+
+def test_degree_stats_tie_breaks_to_lowest_id(snap_file, tmp_path, capsys):
+    # 5, 7 and 9 tie on degree and on indegree, 5 and 9 on outdegree; the
+    # smallest tied ID wins each, though node 1 sorts ahead of all three
+    records = [(9, 5), (5, 9), (9, 5), (5, 9), (5, 7), (9, 7), (1, 1)]
+    maxima, stdout = run_degrees(snap_file(records), tmp_path / "out", capsys)
+    assert maxima == {"max_degree": {"node": 5, "value": 2},
+                      "max_indegree": {"node": 5, "value": 2},
+                      "max_outdegree": {"node": 5, "value": 3}}
+    assert stdout == ["max_degree: node 5 value 2",
+                      "max_indegree: node 5 value 2",
+                      "max_outdegree: node 5 value 3"]
+
+
+@pytest.mark.parametrize("name", ["degrees", "indegrees", "outdegrees"])
+def test_degree_arrays_are_read_only(name):
+    g = graph_of([(0, 1), (1, 2)])
+    with pytest.raises(ValueError, match="read-only"):
+        getattr(g, name)[0] = 99
+    assert top_k_by_degree(g, 1).rows[0].attributes == (
+        "degree=2", "indegree=1", "outdegree=1")
+
+
+def test_every_public_name_resolves():
+    for name in roadnet.__all__:
+        assert getattr(roadnet, name) is not None, name
 
 
 def test_top_k_star():
@@ -80,7 +121,7 @@ def test_top_k_truncates_to_n():
 
 
 def test_top_k_rejects_bad_k():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="k must be >= 1, got 0"):
         top_k_by_degree(graph_of([(0, 1)]), 0)
 
 

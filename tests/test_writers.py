@@ -10,8 +10,8 @@ import io
 import numpy as np
 import pytest
 
-from roadnet import (EdgeList, PageRankVector, build_graph, degree_stats,
-                     pagerank, write_edge_list)
+from roadnet import (EdgeList, PageRankVector, build_graph, pagerank,
+                     write_edge_list)
 from roadnet._text import CHUNK_ROWS
 from roadnet.cli import main
 
@@ -25,10 +25,9 @@ def loop_pagerank_csv(id_map, scores):
 
 
 def loop_degrees_csv(graph):
-    stats = degree_stats(graph)
     return "node_id,degree,indegree,outdegree\n" + "".join(map(
-        "{},{},{},{}\n".format, graph.id_map.tolist(), stats.degree.tolist(),
-        stats.indegree.tolist(), stats.outdegree.tolist()))
+        "{},{},{},{}\n".format, graph.id_map.tolist(), graph.degrees.tolist(),
+        graph.indegrees.tolist(), graph.outdegrees.tolist()))
 
 
 def loop_edge_list(edges):
