@@ -135,9 +135,16 @@ def _fmt_score(score) -> str:
 
 
 def top_k_order(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best entries under (descending score, ascending ID)."""
-    order = np.lexsort((ids, -scores))
-    return order[:min(k, scores.size)]
+    """Indices of the k best entries under (descending score, ascending ID).
+
+    Only the entries scoring at least the k-th best score are sorted; every
+    tie at that score is among them, so the order is exact.
+    """
+    k = min(k, scores.size)
+    if 0 < k < scores.size:
+        cand = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
+        return cand[np.lexsort((ids[cand], -scores[cand]))][:k]
+    return np.lexsort((ids, -scores))[:k]
 
 
 def degree_attributes(deg: int, indeg: int, outdeg: int) -> tuple[str, str, str]:

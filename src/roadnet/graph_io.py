@@ -37,6 +37,12 @@ from .graph import (Graph, arc_keys, csr_from_arcs, sorted_distinct,
 BLOCK_LINES = 4096  # lines per parsed block; larger blocks cost peak RSS
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
 _ID_LIMIT = 2**63
+# IDs below this always take the direct table (see direct_table_limit).  Its
+# 2^21 int64 entries are 16 MiB.  2^21 exceeds the node count of every SNAP
+# road network (roadNet-CA: 1,965,206), whose IDs are near-contiguous from 0,
+# and the IDs of bench/gen.py's 1044^2 grid (up to 1,089,935), so these
+# streams take the table from their first batch on, when few nodes are seen.
+DIRECT_TABLE_FLOOR = 1 << 21
 # int() alone would also take "+", "_" and non-ASCII digits
 _INTEGER = re.compile(r"-?[0-9]+")
 _DATA_BYTES = np.zeros(256, dtype=bool)  # bytes of strict data lines
@@ -260,10 +266,35 @@ def write_edge_list(edges: EdgeList, fp: IO[str]) -> None:
     write_rows(fp, [Ints(edges.from_ids), "\t", Ints(edges.to_ids), "\n"])
 
 
+def direct_table_limit(count: int) -> int:
+    """Most entries a direct ID table may have when it serves ``count`` IDs
+    or endpoints: ``max(DIRECT_TABLE_FLOOR, 4 * count)``.  Road-network IDs
+    are near-contiguous from 0, so their largest ID stays under it."""
+    return max(DIRECT_TABLE_FLOOR, 4 * count)
+
+
 def dense_indices(f: np.ndarray, t: np.ndarray):
-    """Sorted distinct IDs of both endpoint arrays, and f, t as indices into them."""
-    ids, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
-    return ids, inverse[:f.size], inverse[f.size:]
+    """Sorted distinct IDs of both endpoint arrays, and f, t as indices into them.
+
+    When every ID is non-negative and ``max_id + 1 <=
+    direct_table_limit(f.size + t.size)``, the IDs are marked in a ``bool``
+    array of ``max_id + 1`` entries and mapped through an int64 table of the
+    same size: at most ``9 * max(DIRECT_TABLE_FLOOR, 4 * (f.size + t.size))``
+    bytes, 18 MiB below the floor.  Other inputs, such as IDs near 2^63, take
+    a sort (``np.unique``).
+    """
+    lo = min(f.min(initial=0), t.min(initial=0))
+    top = int(max(f.max(initial=-1), t.max(initial=-1)))
+    if lo < 0 or top >= direct_table_limit(f.size + t.size):
+        ids, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
+        return ids, inverse[:f.size], inverse[f.size:]
+    seen = np.zeros(top + 1, dtype=bool)
+    seen[f] = True
+    seen[t] = True
+    ids = np.flatnonzero(seen)
+    table = np.empty(top + 1, dtype=np.int64)  # read only at seen IDs
+    table[ids] = np.arange(ids.size)
+    return ids, table[f], table[t]
 
 
 def pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:

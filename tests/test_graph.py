@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import roadnet
 from roadnet import EdgeList, build_graph, top_k_by_degree
 from roadnet.cli import main
-from roadnet.graph import arc_keys, csr_from_arcs, sorted_distinct, split_keys
+from roadnet.graph import (arc_keys, csr_from_arcs, sorted_distinct,
+                           split_keys, top_k_order)
 from conftest import random_records
 from oracles import degree_scan, topk_sort
 
@@ -133,6 +134,24 @@ def test_top_k_full_matches_sort_oracle():
     deg, _, _ = degree_scan(records)
     expected = topk_sort(deg.items(), g.n)
     assert [(r.node_id, r.score) for r in table.rows] == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_top_k_order_matches_full_sort(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 400))
+    ids = rng.permutation(5 * n)[:n]
+    ties = rng.integers(0, 4, size=n)  # integer scores, many ties
+    floats = rng.choice(rng.random(max(n // 3, 1)), size=n)
+    for scores in (ties, floats):
+        for k in sorted({1, 2, n // 2 + 1, n - 1, n, n + 1, 10 * n} - {0}):
+            expected = np.lexsort((ids, -scores))[:k]
+            assert top_k_order(scores, ids, k).tolist() == expected.tolist()
+
+
+def test_top_k_order_of_nothing():
+    empty = np.zeros(0, dtype=np.int64)
+    assert top_k_order(empty, empty, 5).size == 0
 
 
 def test_attributes_carry_degree_breakdown():

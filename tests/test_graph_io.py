@@ -11,8 +11,9 @@ from hypothesis import strategies as st
 from roadnet import (EdgeList, ParseError, build_graph, load_edge_list,
                      parse_edge_list, summarize, write_edge_list)
 from roadnet import graph_io
-from roadnet.graph_io import (BLOCK_LINES, iter_edge_blocks, iter_edge_lines,
-                              pair_keys, split_keys)
+from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR, dense_indices,
+                              iter_edge_blocks, iter_edge_lines, pair_keys,
+                              split_keys)
 from conftest import random_records
 
 records_strategy = st.lists(
@@ -179,6 +180,52 @@ def test_dense_index_bijection():
     originals = sorted({u for u, v in records} | {v for u, v in records})
     assert list(g.id_map) == originals
     assert np.all(np.diff(g.id_map) > 0)
+
+
+def unique_indices(f, t):
+    """The reference for dense_indices: one sort of both arrays."""
+    ids, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
+    return ids, inverse[:f.size], inverse[f.size:]
+
+
+# arcs enough that their limit, 4 entries per endpoint, passes the floor
+ABOVE_FLOOR = DIRECT_TABLE_FLOOR // 8 + 1000
+BIG = 2**63 - 1
+
+
+@pytest.mark.parametrize("ends,direct", [
+    ([], True),
+    ([7], True),
+    ([BIG], False),
+    (np.concatenate([np.arange(20), BIG - np.arange(20)]), False),
+    (np.arange(0, 2**62, 2**62 // 3000), False),
+    ([3, 0, DIRECT_TABLE_FLOOR - 1], True),  # max_id + 1 at the limit
+    ([3, 0, DIRECT_TABLE_FLOOR], False),
+    ([-4, 0, 9], False),
+    (np.arange(2 * ABOVE_FLOOR) % 1000, True),
+    (np.append(np.arange(2 * ABOVE_FLOOR - 1) % 1000, 8 * ABOVE_FLOOR - 1),
+     True),
+    (np.append(np.arange(2 * ABOVE_FLOOR - 1) % 1000, 8 * ABOVE_FLOOR),
+     False),
+], ids=["empty", "one", "one_big", "near_max", "wide", "floor_in",
+        "floor_out", "negative", "above_floor", "above_floor_in",
+        "above_floor_out"])
+def test_dense_indices_match_sort(ends, direct, monkeypatch):
+    rng = np.random.default_rng(5)
+    ends = rng.permutation(np.asarray(ends, dtype=np.int64))
+    f, t = ends[:ends.size // 2], ends[ends.size // 2:]
+    expected = unique_indices(f, t)
+    sorts, unique = [], np.unique
+
+    def spy(*args, **kwargs):
+        sorts.append(1)
+        return unique(*args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", spy)
+    got = dense_indices(f, t)
+    assert len(sorts) == (0 if direct else 1)
+    for a, b in zip(got, expected):
+        assert a.dtype == np.int64 and a.tolist() == b.tolist()
 
 
 def test_pair_keys_round_trip_at_index_limit():

@@ -10,8 +10,8 @@ from roadnet import (DatasetSummary, EdgeList, ParseError, build_graph,
 import roadnet.stream
 from roadnet.graph import (TopKRow, TopKTable, degree_attributes,
                            sorted_distinct, split_keys, top_k_order)
-from roadnet.graph_io import (BLOCK_LINES, dense_indices, iter_edge_lines,
-                              pair_keys)
+from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR,
+                              iter_edge_lines, pair_keys)
 from roadnet.stream import _DegreeTracker, write_ndjson
 from conftest import random_records
 
@@ -235,8 +235,11 @@ def test_edge_inputs_every_batch(batch_size):
 
 
 class ReferenceTracker:
-    """The tracker as it was before capacity-doubled state and the threshold
-    filter, kept verbatim as the reference the current one must match."""
+    """The tracker as it was before capacity-doubled state, the threshold
+    filter and the direct ID table, kept frozen as the reference the current
+    one must match.  Its batch index (``np.unique``) and its ranking (a full
+    ``lexsort``) are inlined, so they do not follow changes to the code under
+    test."""
 
     def __init__(self, k: int):
         self.k = k
@@ -246,7 +249,9 @@ class ReferenceTracker:
 
     def add(self, edges: EdgeList) -> TopKTable:
         """Merge one batch of arcs; return the new top-k table."""
-        batch_ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
+        batch_ids, inverse = np.unique(
+            np.concatenate([edges.from_ids, edges.to_ids]), return_inverse=True)
+        src, dst = np.split(inverse, [edges.line_count])
         pos = np.searchsorted(self.ids, batch_ids, side="right")
         fresh = self.ids[pos - 1] != batch_ids
         slots = self.slot_of[pos - 1]
@@ -267,7 +272,8 @@ class ReferenceTracker:
         # grow and (degree desc, ID asc) is a strict total order, so a node
         # outside both still has the k old leaders above it.
         cand = sorted_distinct(np.concatenate([self.top, slots]))
-        self.top = cand[top_k_order(self.counts[0, cand], self.node_id[cand], self.k)]
+        order = np.lexsort((self.node_id[cand], -self.counts[0, cand]))
+        self.top = cand[order[:self.k]]
         counts = self.counts[:, self.top].T.tolist()  # [degree, indegree, outdegree]
         rows = tuple(TopKRow(node, c[0], degree_attributes(*c))
                      for node, c in zip(self.node_id[self.top].tolist(), counts))
@@ -304,11 +310,16 @@ def random_arcs(rng, ids, m):
     return arcs
 
 
+SMALL = np.arange(40, dtype=np.int64)
+WIDE = np.arange(0, 2**62, 2**62 // 3000, dtype=np.int64)
+# each pool is a list of phases, one run of arcs each; "wide_after_dense"
+# starts on the direct ID table and turns sparse mid-stream
 ID_POOLS = {
-    "tiny": np.arange(6, dtype=np.int64),
-    "small": np.arange(40, dtype=np.int64),
-    "near_max": np.concatenate([np.arange(20), BIG - np.arange(20)]),
-    "wide": np.arange(0, 2**62, 2**62 // 3000, dtype=np.int64),
+    "tiny": [np.arange(6, dtype=np.int64)],
+    "small": [SMALL],
+    "near_max": [np.concatenate([np.arange(20), BIG - np.arange(20)])],
+    "wide": [WIDE],
+    "wide_after_dense": [SMALL, WIDE],
 }
 
 
@@ -316,7 +327,10 @@ ID_POOLS = {
 @pytest.mark.parametrize("pool", sorted(ID_POOLS))
 def test_tracker_matches_reference_on_random_streams(batch_size, m, pool):
     rng = np.random.default_rng([batch_size, sorted(ID_POOLS).index(pool)])
-    batches = cut_batches(random_arcs(rng, ID_POOLS[pool], m), batch_size)
+    phases = ID_POOLS[pool]
+    arcs = np.concatenate([random_arcs(rng, ids, m // len(phases))
+                           for ids in phases])
+    batches = cut_batches(arcs, batch_size)
     for k in (1, 3, 10, 10_000):  # 10,000 exceeds every node count
         assert_tracker_matches_reference(batches, k)
 
@@ -364,6 +378,43 @@ def test_counts_reallocated_logarithmically():
             held, reallocations = tracker.counts, reallocations + 1
     assert len(batches) > 100 and tracker.n == 120 * 120
     assert reallocations <= np.log2(tracker.n) + 2
+
+
+def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
+    # only the pair keys take sorted inserts, and the slot table grows by
+    # doubling as the lattice's largest ID seen climbs batch by batch
+    batches = lattice_batches(120, 500)
+    tracker = _DegreeTracker(10)
+    into_keys, insert = [], np.insert
+
+    def spy(arr, *args, **kwargs):
+        into_keys.append(arr is tracker.keys)
+        return insert(arr, *args, **kwargs)
+
+    monkeypatch.setattr(np, "insert", spy)
+    held, reallocations = tracker.slot_of, 0
+    for batch in batches:
+        tracker.add(batch)
+        if tracker.slot_of is not held:
+            held, reallocations = tracker.slot_of, reallocations + 1
+    assert tracker.ids is None and into_keys == [True] * len(batches)
+    assert tracker.n == 120 * 120 and tracker.slot_of.size >= tracker.n
+    assert reallocations <= np.log2(tracker.n) + 2
+    assert tracker.slot_of[tracker.node_id[:tracker.n]].tolist() == list(
+        range(tracker.n))
+
+
+def test_sparse_batch_moves_the_index_to_the_sorted_path_once():
+    top = DIRECT_TABLE_FLOOR - 1  # the largest ID the first batches admit
+    tracker = _DegreeTracker(3)
+    tracker.add(EdgeList.from_records([(5, top), (top, 0)]))
+    assert tracker.ids is None and tracker.slot_of.size == top + 1
+    tracker.add(EdgeList.from_records([(0, top + 1)]))
+    assert tracker.ids.tolist() == [-1, 0, 5, top, top + 1]
+    assert tracker.slot_of.tolist() == [-1, 0, 1, 2, 3]
+    tracker.add(EdgeList.from_records([(1, 2)]))  # dense again, still sorted
+    assert tracker.ids.tolist() == [-1, 0, 1, 2, 5, top, top + 1]
+    assert tracker.slot_of.tolist() == [-1, 0, 4, 5, 1, 2, 3]
 
 
 def test_ranked_candidates_stay_near_k(monkeypatch):
