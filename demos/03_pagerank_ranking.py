@@ -1,9 +1,11 @@
 """Rank intersections by PageRank and print the top-k triple table.
 
-The power iteration runs over the undirected view: every edge passes score
-in both directions, weighted by the sender's degree, with a (1 - damping)
-uniform teleport.  Zero-degree nodes redistribute their mass uniformly so
-the scores always sum to one.
+PageRank runs over the undirected view: every edge passes score in both
+directions, weighted by the sender's degree, with a (1 - damping) uniform
+teleport.  Zero-degree nodes redistribute their mass uniformly so the
+scores always sum to one.  On this view the scores solve a symmetric
+positive definite system, which conjugate gradients solve until the
+relative residual drops below the tolerance.
 """
 
 import numpy as np
@@ -20,7 +22,7 @@ graph = build_graph(EdgeList.from_records(records))
 ranks = pagerank(graph, damping=0.85, tolerance=1e-12, max_iterations=500)
 
 print(f"converged={ranks.converged} after {ranks.iterations_run} iterations "
-      f"(final L1 delta {ranks.final_delta:.2e})")
+      f"(final relative residual {ranks.final_delta:.2e})")
 print(f"score mass: {ranks.scores.sum():.12f} (always 1 within 1e-9)")
 print(f"minimum score: {ranks.scores.min():.3e} "
       f">= (1-d)/n = {(1 - 0.85) / graph.n:.3e}")

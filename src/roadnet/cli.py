@@ -90,11 +90,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("pagerank", _cmd_pagerank, "rank nodes by PageRank", threads)
     p.add_argument("--damping", type=_damping, default=0.85)
-    p.add_argument("--tol", type=_positive_float, default=1e-10)
+    p.add_argument("--tol", type=_positive_float, default=1e-10,
+                   help="stop when the relative residual ||r||/||b|| of the "
+                        "conjugate-gradient solve drops below this; with "
+                        "--directed, when the L1 change of a power step does "
+                        "(default: 1e-10)")
     p.add_argument("--max-iter", type=_positive_int, default=100)
     p.add_argument("--top", type=_positive_int, default=10)
     p.add_argument("--directed", action="store_true",
-                   help="rank over raw directed arcs instead of the undirected view")
+                   help="rank over raw directed arcs (power iteration) "
+                        "instead of the undirected view")
 
     p = command("topk", _cmd_topk,
                 "top-k table, optionally compared across datasets", threads)

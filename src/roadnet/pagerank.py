@@ -1,17 +1,28 @@
-"""PageRank power iteration with uniform teleport and dangling redistribution.
+"""PageRank with uniform teleport and dangling redistribution.
 
-Per iteration, over the chosen adjacency view:
+Over the chosen adjacency view the scores are the fixed point of
 
     score'(v) = (1 - d)/n + d * (sum_{u in adj(v)} score(u)/deg(u) + dangling/n)
 
-where ``dangling`` is the total score sitting on zero-out-degree nodes.  The
-redistribution keeps the score vector a probability distribution, so the sum
-stays 1 up to float rounding.  Iteration stops when the L1 change drops
-below ``tolerance`` or after ``max_iterations``.
+where ``dangling`` is the total score sitting on zero-degree nodes; the
+redistribution keeps the scores a probability distribution.
+
+On the undirected view (the default) the step ``P = A D^-1`` is similar to
+the symmetric ``S = D^-1/2 A D^-1/2``, so the scores are the normalised
+``x = D^1/2 y`` of the SPD system ``(I - d S) y = D^-1/2 1``, whose
+condition number is at most (1 + d)/(1 - d).  Conjugate gradients solve it
+(Del Corso, Gulli & Romani 2005; Gleich 2015), and ``tolerance`` bounds the
+relative residual ``||r|| / ||b||``.  Nodes with no undirected neighbour
+(isolated, or self-loops only) are left out of the system with ``y = 1``.
+
+With ``directed=True`` mass flows along raw arcs and deg(u) is the
+outdegree; the power iteration runs the step above until the L1 change
+drops below ``tolerance``.  Both stop after ``max_iterations``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import IO
 
@@ -21,17 +32,30 @@ from ._text import Floats, Ints, write_rows
 from .graph import Graph, TopKTable, table_from_scores
 from .parallel import block_count, block_ranges, run_blocks
 
+# CG stops, unconverged, once ||r||^2 falls below this: p * q and r * r
+# would then underflow and the step length would be noise
+_SMALLEST_RR = np.finfo(np.float64).tiny / np.finfo(np.float64).eps
+
 
 @dataclass(frozen=True)
 class PageRankVector:
+    """``residual_trace`` holds one entry per iteration: the relative
+    residual on the undirected view, the L1 change with ``directed``."""
+
     scores: np.ndarray
     damping: float
     iterations_run: int
-    final_delta: float
     converged: bool
+    residual_trace: tuple[float, ...]
 
     def __post_init__(self):
         self.scores.flags.writeable = False
+
+    @property
+    def final_delta(self) -> float:
+        """The last entry of ``residual_trace``; 0.0 when the starting
+        vector was exact and no iteration ran."""
+        return self.residual_trace[-1] if self.residual_trace else 0.0
 
     def to_csv(self, fp: IO[str], graph: Graph) -> None:
         fp.write("node_id,score\n")
@@ -56,60 +80,123 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
 
-    n = graph.n
     if directed:
         # accumulate over in-arcs; each source u spreads score(u)/outdeg(u)
-        offsets, neighbors = graph.in_offsets, graph.in_neighbors
-        share_deg = graph.outdegrees.astype(np.float64)
+        spread = _arc_sums(graph.in_offsets, graph.in_neighbors, threads)
+        scores, trace, converged = _power(spread, graph.outdegrees, damping,
+                                          tolerance, max_iterations)
     else:
-        offsets, neighbors = graph.undirected_offsets, graph.undirected_neighbors
-        share_deg = graph.degrees.astype(np.float64)
+        spread = _arc_sums(graph.undirected_offsets,
+                           graph.undirected_neighbors, threads)
+        scores, trace, converged = _conjugate_gradients(
+            spread, graph.degrees, damping, tolerance, max_iterations)
+    return PageRankVector(
+        scores=scores,
+        damping=damping,
+        iterations_run=len(trace),
+        converged=converged,
+        residual_trace=tuple(trace),
+    )
 
-    # score / inf is 0.0, so dangling nodes send nothing without a mask
-    dangling = np.flatnonzero(share_deg == 0)
-    share_deg[dangling] = np.inf
+
+def _arc_sums(offsets: np.ndarray, neighbors: np.ndarray, threads: int):
+    """``spread(w, out)`` sets ``out[v]`` to the sum of ``w[u]`` over the
+    CSR row of v.  Node blocks each sum their rows in CSR order, so the
+    result is the same for any block count."""
     blocks = []  # (a, b, arc slice, local row of each arc) per node block
     split = block_count("pagerank", neighbors.size, threads)
-    for a, b in block_ranges(n, split):
+    for a, b in block_ranges(offsets.size - 1, split):
         rows = np.repeat(np.arange(b - a), np.diff(offsets[a:b + 1]))
         blocks.append((a, b, slice(offsets[a], offsets[b]), rows))
 
+    def spread(w: np.ndarray, out: np.ndarray) -> None:
+        def accumulate(a: int, b: int, arcs: slice, rows: np.ndarray) -> None:
+            # a block without arcs gets an int64 bincount; the slice casts it
+            out[a:b] = np.bincount(rows, weights=w[neighbors[arcs]],
+                                   minlength=b - a)
+
+        run_blocks(accumulate, blocks, threads)
+
+    return spread
+
+
+def _power(spread, degrees: np.ndarray, damping: float, tolerance: float,
+           max_iterations: int):
+    n = degrees.size
+    share_deg = degrees.astype(np.float64)
+    # score / inf is 0.0, so dangling nodes send nothing without a mask
+    dangling = np.flatnonzero(share_deg == 0)
+    share_deg[dangling] = np.inf
     scores = np.full(n, 1.0 / n)
     new = np.empty(n)
     contrib = np.empty(n)
     w = np.empty(n)
     base = (1.0 - damping) / n
 
-    def accumulate(a: int, b: int, arcs: slice, rows: np.ndarray) -> None:
-        contrib[a:b] = np.bincount(rows, weights=w[neighbors[arcs]],
-                                   minlength=b - a)
-
-    iterations = 0
-    delta = np.inf
+    trace = []
     converged = False
-    while iterations < max_iterations:
+    while len(trace) < max_iterations:
         np.divide(scores, share_deg, out=w)
-        run_blocks(accumulate, blocks, threads)
+        spread(w, contrib)
         loose = scores[dangling].sum()
         # new = base + damping * (contrib + loose / n), in place
         np.add(contrib, loose / n, out=new)
         new *= damping
         new += base
         np.subtract(new, scores, out=w)  # w is free until the next step
-        delta = float(np.abs(w, out=w).sum())
+        trace.append(float(np.abs(w, out=w).sum()))
         scores, new = new, scores
-        iterations += 1
-        if delta < tolerance:
+        if trace[-1] < tolerance:
             converged = True
             break
+    return scores, trace, converged
 
-    return PageRankVector(
-        scores=scores,
-        damping=damping,
-        iterations_run=iterations,
-        final_delta=delta,
-        converged=converged,
-    )
+
+def _conjugate_gradients(spread, degrees: np.ndarray, damping: float,
+                         tolerance: float, max_iterations: int):
+    """Unpreconditioned CG on ``(I - d S) y = D^-1/2 1``; returns the
+    normalised ``D^1/2 y``.  Reductions are ``np.add.reduce`` over whole
+    vectors, so they do not depend on the block count."""
+    n = degrees.size
+    linked = degrees > 0
+    inv_root = np.zeros(n)
+    np.divide(1.0, np.sqrt(degrees), out=inv_root, where=linked)
+    scale = damping * inv_root
+    r = inv_root.copy()  # b, zero off the system: those y stay 0 until the end
+    p = r.copy()
+    y = np.zeros(n)
+    q = np.empty(n)
+    contrib = np.empty(n)
+    tmp = np.empty(n)
+
+    rr = np.add.reduce(np.multiply(r, r, out=tmp))
+    b_norm = math.sqrt(rr)
+    trace = []
+    converged = not rr  # no node has a neighbour: y = 1 is exact
+    while not converged and len(trace) < max_iterations:
+        # q = (I - d S) p
+        spread(np.multiply(p, inv_root, out=tmp), contrib)
+        np.subtract(p, np.multiply(contrib, scale, out=q), out=q)
+        alpha = rr / np.add.reduce(np.multiply(p, q, out=tmp))
+        y += np.multiply(p, alpha, out=tmp)
+        r -= np.multiply(q, alpha, out=tmp)
+        rr_next = np.add.reduce(np.multiply(r, r, out=tmp))
+        trace.append(math.sqrt(rr_next) / b_norm)
+        # an exact zero residual stops here, before 0/0 in the next step
+        if trace[-1] < tolerance:
+            converged = True
+            break
+        if rr_next < _SMALLEST_RR:
+            break
+        p *= rr_next / rr
+        p += r
+        rr = rr_next
+
+    x = np.sqrt(degrees)
+    x *= y
+    x[~linked] = 1.0
+    x /= np.add.reduce(x)
+    return x, trace, converged
 
 
 def top_k_pagerank(ranks: PageRankVector, graph: Graph, k: int) -> TopKTable:

@@ -9,10 +9,11 @@ blocks of at least ``MIN_BLOCK_WORK[kernel]`` units: below that, handing a
 block to a second thread costs more than it saves.  The blocks run on one
 executor per thread count, kept for the life of the process.  The minimums
 were measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
-(units: arcs gathered per power step) ran 2.5-4x slower in 2 blocks at
-0.19M arcs, broke even between 1.0M and 1.4M arcs, and was faster from
-there up (1.3x at 3.1M; ``np.bincount`` holds the GIL, the gather does
-not).  k-means (units: point-centroid distances per pass, k * t) was
+(units: arcs gathered per power step or CG product, each one blocked
+``np.bincount``; measured on the power step) ran 2.5-4x slower in 2
+blocks at 0.19M arcs, broke even between 1.0M and 1.4M arcs, and was
+faster from there up (1.3x at 3.1M; ``np.bincount`` holds the GIL, the
+gather does not).  k-means (units: point-centroid distances per pass, k * t) was
 measured in fresh processes with one solve each, as the CLI runs it: 2
 blocks ran 0.52-0.88x as fast at 0.12-0.34M, 0.75-0.90x at 0.49M,
 0.99-1.02x at 0.67M, 1.12-1.23x at 0.82-0.98M and 1.08-1.17x at
@@ -65,7 +66,7 @@ def block_count(kernel: str, work: int, threads: int) -> int:
 @cache
 def _pool(threads: int) -> ThreadPoolExecutor:
     """One executor per thread count, kept for the life of the process:
-    a kernel hands off blocks on every power step or Lloyd pass."""
+    a kernel hands off blocks on every PageRank step or Lloyd pass."""
     return ThreadPoolExecutor(max_workers=threads)
 
 

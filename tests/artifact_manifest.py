@@ -18,18 +18,15 @@ import hashlib
 import io
 import json
 import os
-import sys
 from pathlib import Path
 
 import numpy as np
 
-ROOT = Path(__file__).resolve().parent.parent
-MANIFEST = ROOT / "tests" / "artifacts.json"
-sys.path.insert(0, str(ROOT / "bench"))
+# bench/gen.py: conftest and scripts/update_artifacts.py put bench/ on sys.path
+from gen import make_grid, write_grid
+from roadnet.cli import main
 
-from gen import make_grid, write_grid  # noqa: E402
-
-from roadnet.cli import main  # noqa: E402
+MANIFEST = Path(__file__).resolve().parent / "artifacts.json"
 
 TOP_ID = 2**63 - 1
 

@@ -1,8 +1,12 @@
 import os
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
+
+# bench/gen.py makes the seeded road grids some tests run on
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "bench"))
 
 # published node / undirected-edge counts for the SNAP road networks
 DATASET_COUNTS = {

@@ -293,15 +293,29 @@ def test_stream_pagerank_honours_threads(snap_file, tmp_path, monkeypatch,
     assert seen == [3, 3]
 
 
-PATH_20 = [(i, i + 1) for i in range(20)]  # PageRank needs 128 iterations
+PATH_20 = [(i, i + 1) for i in range(20)]
+
+
+@pytest.fixture
+def slow_cli_pagerank(monkeypatch):
+    """CG converges on any graph well inside the CLI's limits at d = 0.85,
+    so the limit is reached through the directed power iteration at
+    d = 0.95, which needs 146 steps on PATH_20."""
+    import roadnet.cli
+    from roadnet import pagerank
+
+    def slow(graph, **kwargs):
+        return pagerank(graph, **{**kwargs, "directed": True, "damping": 0.95})
+
+    monkeypatch.setattr(roadnet.cli, "pagerank", slow)
 
 
 @pytest.mark.parametrize("args,limit,artifacts", [
     (("pagerank", "--max-iter", 50), 50, ["pagerank.csv", "pagerank_topk.csv"]),
     (("topk", "--by", "pagerank"), 100, ["topk_pagerank.csv"]),
 ])
-def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys, args, limit,
-                                    artifacts):
+def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys,
+                                    slow_cli_pagerank, args, limit, artifacts):
     path = snap_file(PATH_20)
     out = tmp_path / "o"
     assert run_cli(*args, "--input", path, "--out", out) == 0
@@ -313,7 +327,15 @@ def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys, args, limit,
 
 
 def test_stream_pagerank_warns_on_unconverged_batches(snap_file, tmp_path,
-                                                     capsys):
+                                                     monkeypatch, capsys):
+    # CG needs 3, 6, 8 and 11 iterations on the four prefixes
+    import roadnet.stream
+    from roadnet import pagerank
+
+    def capped(graph, **kwargs):
+        return pagerank(graph, **kwargs, max_iterations=5)
+
+    monkeypatch.setattr(roadnet.stream, "pagerank", capped)
     path = snap_file(PATH_20)
     out = tmp_path / "o"
     assert run_cli("stream", "--input", path, "--out", out,
@@ -326,6 +348,23 @@ def test_stream_pagerank_warns_on_unconverged_batches(snap_file, tmp_path,
     assert [list(b) for b in batches] == [
         ["batch", "cumulative_edges", "cumulative_nodes", "top_degree",
          "top_pagerank", "ms"]] * 4
+
+
+def test_grid_pagerank_rankings_converge(tmp_path, capsys):
+    """topk --by pagerank and stream --pagerank run at the fixed defaults
+    (tol 1e-10, at most 100 iterations), which CG meets on road grids."""
+    from gen import make_grid, write_grid
+    grid = make_grid(120, 3)
+    path = write_grid(grid, tmp_path / "grid.txt", "3")
+    out = tmp_path / "o"
+    assert run_cli("topk", "--input", path, "--out", out,
+                   "--by", "pagerank") == 0
+    assert run_cli("stream", "--input", path, "--out", out,
+                   "--batch-size", 5000, "--pagerank") == 0
+    # either command warns on stderr if any solve stops unconverged
+    assert capsys.readouterr().err == ""
+    lines = (out / "stream.ndjson").read_text().splitlines()
+    assert len(lines) == -(-grid.arc_count // 5000)
 
 
 @pytest.mark.parametrize("records,args", [

@@ -68,7 +68,7 @@ def test_pagerank_csv_exponent_and_integer_scores():
                        1.5e-300, 0.1 + 0.2])
     graph = build_graph(EdgeList.from_records(
         [(i, i + 1) for i in range(scores.size - 1)]))
-    ranks = PageRankVector(scores, 0.85, 1, 0.0, True)
+    ranks = PageRankVector(scores, 0.85, 1, True, (0.0,))
     text = pagerank_csv(ranks, graph)
     assert text == loop_pagerank_csv(graph.id_map, scores)
     assert "0,1e-05\n1,1.4792708053011196e-05\n" in text
