@@ -37,7 +37,7 @@ from .graph import (Graph, arc_keys, csr_from_arcs, sorted_distinct,
 BLOCK_LINES = 4096  # lines per parsed block; larger blocks cost peak RSS
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
 _ID_LIMIT = 2**63
-# IDs below this always take the direct table (see direct_table_limit).  Its
+# IDs below this always take the direct table (see NodeIndex).  Its
 # 2^21 int64 entries are 16 MiB.  2^21 exceeds the node count of every SNAP
 # road network (roadNet-CA: 1,965,206), whose IDs are near-contiguous from 0,
 # and the IDs of bench/gen.py's 1044^2 grid (up to 1,089,935), so these
@@ -266,35 +266,85 @@ def write_edge_list(edges: EdgeList, fp: IO[str]) -> None:
     write_rows(fp, [Ints(edges.from_ids), "\t", Ints(edges.to_ids), "\n"])
 
 
-def direct_table_limit(count: int) -> int:
-    """Most entries a direct ID table may have when it serves ``count`` IDs
-    or endpoints: ``max(DIRECT_TABLE_FLOOR, 4 * count)``.  Road-network IDs
-    are near-contiguous from 0, so their largest ID stays under it."""
-    return max(DIRECT_TABLE_FLOOR, 4 * count)
+class NodeIndex:
+    """Dense indices 0, 1, ... of node IDs, given out batch by batch and in
+    ID order within a batch, so an ID keeps its first index and one batch
+    is numbered as ``np.unique`` would number it.  ``ids[:n]`` are the IDs
+    of the indices; their capacity doubles when outgrown.
 
-
-def dense_indices(f: np.ndarray, t: np.ndarray):
-    """Sorted distinct IDs of both endpoint arrays, and f, t as indices into them.
-
-    When every ID is non-negative and ``max_id + 1 <=
-    direct_table_limit(f.size + t.size)``, the IDs are marked in a ``bool``
-    array of ``max_id + 1`` entries and mapped through an int64 table of the
-    same size: at most ``9 * max(DIRECT_TABLE_FLOOR, 4 * (f.size + t.size))``
-    bytes, 18 MiB below the floor.  Other inputs, such as IDs near 2^63, take
-    a sort (``np.unique``).
+    ``table`` maps IDs to indices (-1 where unseen) while every ID is
+    non-negative and below ``max(DIRECT_TABLE_FLOOR, 4 * (n + endpoints))``,
+    and grows by doubling to the largest ID seen.  A batch past that bound
+    moves the index for good to ``sorted_ids`` and their ``sorted_index``,
+    which start with an entry of index -1 and take a sorted insert per
+    batch.  On the table, a batch marks its IDs in a ``bool`` array when the
+    table has at most 8 entries per endpoint (a one-batch build), and
+    otherwise sorts its unseen endpoints (a small stream batch).
     """
-    lo = min(f.min(initial=0), t.min(initial=0))
-    top = int(max(f.max(initial=-1), t.max(initial=-1)))
-    if lo < 0 or top >= direct_table_limit(f.size + t.size):
-        ids, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
-        return ids, inverse[:f.size], inverse[f.size:]
-    seen = np.zeros(top + 1, dtype=bool)
-    seen[f] = True
-    seen[t] = True
-    ids = np.flatnonzero(seen)
-    table = np.empty(top + 1, dtype=np.int64)  # read only at seen IDs
-    table[ids] = np.arange(ids.size)
-    return ids, table[f], table[t]
+
+    def __init__(self):
+        self.n = 0
+        self.ids = self.table = np.zeros(0, dtype=np.int64)
+        self.sorted_ids = self.sorted_index = None
+
+    def add(self, f: np.ndarray, t: np.ndarray):
+        """Index the endpoints of the arcs f -> t.  Returns the IDs of
+        indices 0..n-1, and f and t as indices."""
+        lo = min(f.min(initial=0), t.min(initial=0))
+        top = int(max(f.max(initial=-1), t.max(initial=-1)))
+        limit = max(DIRECT_TABLE_FLOOR, 4 * (self.n + f.size + t.size))
+        if self.table is not None and (lo < 0 or top >= limit):
+            seen = np.flatnonzero(self.table >= 0)
+            self.sorted_ids = np.concatenate([[-1], seen])
+            self.sorted_index = np.concatenate([[-1], self.table[seen]])
+            self.table = None
+        if self.table is None:
+            src, dst, fresh = self._add_sorted(f, t)
+        else:
+            src, dst, fresh = self._add_direct(f, t, top, limit)
+        n = self.n + fresh.size
+        if self.n == 0:
+            self.ids = fresh
+        else:
+            if n > self.ids.size:
+                ids = np.empty(max(n, 2 * self.ids.size), dtype=np.int64)
+                ids[:self.n] = self.ids[:self.n]
+                self.ids = ids
+            self.ids[self.n:n] = fresh
+        self.n = n
+        return self.ids[:n], src, dst
+
+    def _add_direct(self, f, t, top: int, limit: int):
+        if top >= self.table.size:
+            size = min(max(top + 1, 2 * self.table.size), limit)
+            table = np.full(size, -1, dtype=np.int64)
+            table[:self.table.size] = self.table
+            self.table = table
+        if self.table.size <= 8 * (f.size + t.size):
+            seen = np.zeros(self.table.size, dtype=bool)
+            seen[f] = True
+            seen[t] = True
+            if self.n:
+                seen &= self.table < 0
+            fresh = np.flatnonzero(seen)
+        else:
+            ends = np.concatenate([f, t])
+            fresh = sorted_distinct(ends[self.table[ends] < 0])
+        self.table[fresh] = np.arange(self.n, self.n + fresh.size)
+        return self.table[f], self.table[t], fresh
+
+    def _add_sorted(self, f, t):
+        batch, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
+        # an unseen ID lands on another ID, or on the entry of index -1
+        pos = np.searchsorted(self.sorted_ids, batch, side="right") - 1
+        index = self.sorted_index[pos]
+        index[self.sorted_ids[pos] != batch] = -1
+        new = index < 0
+        index[new] = np.arange(self.n, self.n + np.count_nonzero(new))
+        self.sorted_ids = np.insert(self.sorted_ids, pos[new] + 1, batch[new])
+        self.sorted_index = np.insert(self.sorted_index, pos[new] + 1,
+                                      index[new])
+        return index[inverse[:f.size]], index[inverse[f.size:]], batch[new]
 
 
 def pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
@@ -306,7 +356,7 @@ def pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
 
 
 def summarize(edges: EdgeList) -> DatasetSummary:
-    ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
+    ids, src, dst = NodeIndex().add(edges.from_ids, edges.to_ids)
     return DatasetSummary(
         node_count=ids.size,
         directed_edge_count=src.size,
@@ -323,7 +373,7 @@ def build_graph(edges: EdgeList) -> Graph:
     Undirected view: symmetrized simple graph (self-loops dropped, parallel
     edges merged).  Original IDs map to dense 0..n-1 in ascending ID order.
     """
-    ids, src, dst = dense_indices(edges.from_ids, edges.to_ids)
+    ids, src, dst = NodeIndex().add(edges.from_ids, edges.to_ids)
     n = ids.size
     in_offsets, in_neighbors = csr_from_arcs(n, dst, src)
 

@@ -1,11 +1,11 @@
 """Micro-batch ingestion with live cumulative top-k statistics.
 
 The edge stream is consumed in fixed-size chunks of data lines.  Each batch
-is merged into numpy degree state (node slots, found through a direct table
-indexed by node ID, and the sorted ``pair_keys`` seen so far), and the top-k
-by undirected degree is re-ranked over the previous top-k plus the batch's
-nodes that beat the weakest of them; optionally the cumulative graph is
-rebuilt and ranked by PageRank per batch.  Every batch's table equals the
+is merged into numpy degree state (node slots from one ``NodeIndex``, and
+the sorted ``pair_keys`` seen so far), and the top-k by undirected degree is
+re-ranked over the previous top-k plus the batch's nodes that beat the
+weakest of them; optionally the cumulative graph is rebuilt and ranked by
+PageRank per batch.  Every batch's table equals the
 batch pipeline's on the prefix read, same tie rules included.  The sorted
 inserts into the pair keys, and into the node index once sparse IDs have
 moved it to its sorted path, are the one per-batch cost that grows with the
@@ -23,8 +23,8 @@ import numpy as np
 
 from .graph import (TopKTable, sorted_distinct, split_keys, top_k_order,
                     top_k_table)
-from .graph_io import (EdgeList, build_graph, concat_blocks, dense_indices,
-                       direct_table_limit, iter_edge_blocks, pair_keys)
+from .graph_io import (EdgeList, NodeIndex, build_graph, concat_blocks,
+                       iter_edge_blocks, pair_keys)
 from .pagerank import pagerank, top_k_pagerank
 
 
@@ -80,25 +80,12 @@ def stream_batches(reader, batch_size: int,
 class _DegreeTracker:
     """Cumulative degrees and top-k table over a stream of arcs.
 
-    Slots are assigned batch by batch, and in ID order within a batch, so the
-    nodes of earlier batches keep theirs.  ``node_id`` and the rows of
-    ``counts`` (degree, indegree, outdegree) are indexed by slot.  ``keys``
-    are the ``pair_keys`` over slots so far; they start with a -1 sentinel,
-    so ``searchsorted(side="right") - 1`` always indexes an entry.
-
-    Node IDs map to slots through ``slot_of``, a direct table indexed by ID
-    that holds -1 where an ID is unseen.  It grows by doubling to the largest
-    ID seen, and never past ``direct_table_limit`` of the nodes seen plus the
-    batch's endpoints.  A batch whose largest ID would pass that limit
-    converts the index once, for the rest of the stream, to sorted ``ids``
-    with their ``slot_of``, both starting with the -1 sentinel (``ids`` is
-    None until then).
-
-    ``node_id`` and ``counts`` have a capacity that doubles when outgrown:
-    slots ``0..n-1`` are in use and ``counts`` is zero past them, so a batch
-    touches only its own slots.  The sorted inserts into ``keys``, and into
-    ``ids`` and ``slot_of`` on the sorted path, are the one per-batch cost
-    that grows with the prefix.
+    ``nodes`` numbers the nodes batch by batch (see ``NodeIndex``), and the
+    rows of ``counts`` (degree, indegree, outdegree) are indexed by those
+    slots.  ``keys`` are the ``pair_keys`` over slots so far; they start
+    with a -1 sentinel, so ``searchsorted(side="right") - 1`` always indexes
+    an entry.  ``counts`` has a capacity that doubles when outgrown and is
+    zero past the slots in use, so a batch touches only its own slots.
 
     Once ``top`` holds k slots, only the old leaders and those batch nodes
     that beat the weakest old leader (current degree desc, ID asc) are
@@ -108,60 +95,21 @@ class _DegreeTracker:
     """
 
     def __init__(self, k: int):
-        self.k, self.n = k, 0
-        self.ids = None
-        self.slot_of = np.full(0, -1, dtype=np.int64)
+        self.k = k
+        self.nodes = NodeIndex()
         self.keys = np.full(1, -1, dtype=np.int64)
-        self.node_id = self.top = np.zeros(0, dtype=np.int64)
+        self.top = np.zeros(0, dtype=np.int64)
         self.counts = np.zeros((3, 0), dtype=np.int64)
-
-    def _reserve(self, n: int) -> None:
-        """Grow ``node_id`` and ``counts`` to hold n slots, at least doubling."""
-        if n <= self.node_id.size:
-            return
-        cap = max(n, 2 * self.node_id.size)
-        node_id = np.empty(cap, dtype=np.int64)
-        node_id[:self.n] = self.node_id[:self.n]
-        counts = np.zeros((3, cap), dtype=np.int64)
-        counts[:, :self.n] = self.counts[:, :self.n]
-        self.node_id, self.counts = node_id, counts
-
-    def _slots(self, f: np.ndarray, t: np.ndarray):
-        """Slots of the arcs' endpoints; IDs not seen before get new slots,
-        in ID order.  Returns (src, dst, the new IDs)."""
-        ends = np.concatenate([f, t])
-        top = int(ends.max(initial=-1))
-        limit = direct_table_limit(self.n + ends.size)
-        if self.ids is None and top >= limit:
-            seen = np.flatnonzero(self.slot_of >= 0)
-            self.ids = np.concatenate([[-1], seen])
-            self.slot_of = np.concatenate([[-1], self.slot_of[seen]])
-        if self.ids is None:
-            if top >= self.slot_of.size:
-                size = min(max(top + 1, 2 * self.slot_of.size), limit)
-                table = np.full(size, -1, dtype=np.int64)
-                table[:self.slot_of.size] = self.slot_of
-                self.slot_of = table
-            fresh = sorted_distinct(ends[self.slot_of[ends] < 0])
-            self.slot_of[fresh] = np.arange(self.n, self.n + fresh.size)
-            slots = self.slot_of[ends]
-            return slots[:f.size], slots[f.size:], fresh
-        batch_ids, src, dst = dense_indices(f, t)
-        pos = np.searchsorted(self.ids, batch_ids, side="right")
-        fresh = self.ids[pos - 1] != batch_ids
-        slots = self.slot_of[pos - 1]
-        slots[fresh] = np.arange(self.n, self.n + np.count_nonzero(fresh))
-        self.ids = np.insert(self.ids, pos[fresh], batch_ids[fresh])
-        self.slot_of = np.insert(self.slot_of, pos[fresh], slots[fresh])
-        return slots[src], slots[dst], batch_ids[fresh]
 
     def add(self, edges: EdgeList) -> TopKTable:
         """Merge one batch of arcs; return the new top-k table."""
-        src, dst, fresh = self._slots(edges.from_ids, edges.to_ids)
-        n = self.n + fresh.size
-        self._reserve(n)
-        self.node_id[self.n:n] = fresh
-        self.n = n
+        node_id, src, dst = self.nodes.add(edges.from_ids, edges.to_ids)
+        n = node_id.size
+        if n > self.counts.shape[1]:
+            counts = np.zeros((3, max(n, 2 * self.counts.shape[1])),
+                              dtype=np.int64)
+            counts[:, :self.counts.shape[1]] = self.counts
+            self.counts = counts
         deg, indeg, outdeg = self.counts
         np.add.at(indeg, dst, 1)
         np.add.at(outdeg, src, 1)
@@ -173,12 +121,12 @@ class _DegreeTracker:
         cand = batch = sorted_distinct(np.concatenate([src, dst]))
         if self.top.size == self.k:
             low = deg[self.top].min()
-            last = self.node_id[self.top][deg[self.top] == low].max()
+            last = node_id[self.top][deg[self.top] == low].max()
             d = deg[batch]
-            cand = batch[(d > low) | ((d == low) & (self.node_id[batch] < last))]
+            cand = batch[(d > low) | ((d == low) & (node_id[batch] < last))]
         cand = sorted_distinct(np.concatenate([self.top, cand]))
-        self.top = cand[top_k_order(deg[cand], self.node_id[cand], self.k)]
-        return top_k_table(self.node_id, deg, self.counts, self.top, self.k)
+        self.top = cand[top_k_order(deg[cand], node_id[cand], self.k)]
+        return top_k_table(node_id, deg, self.counts, self.top, self.k)
 
 
 def run_stream(reader, batch_size: int, k: int = 10,
@@ -207,7 +155,7 @@ def run_stream(reader, batch_size: int, k: int = 10,
         yield BatchStats(
             batch_index=index,
             cumulative_edges=cumulative_edges,
-            cumulative_nodes=tracker.n,
+            cumulative_nodes=tracker.nodes.n,
             top_degree=top_degree,
             top_pagerank=top_pr,
             pagerank_converged=converged,

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from roadnet import (EdgeList, ParseError, build_graph, load_edge_list,
                      parse_edge_list, summarize, write_edge_list)
 from roadnet import graph_io
-from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR, dense_indices,
+from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR, NodeIndex,
                               iter_edge_blocks, iter_edge_lines, pair_keys,
                               split_keys)
 from conftest import random_records
@@ -183,7 +183,7 @@ def test_dense_index_bijection():
 
 
 def unique_indices(f, t):
-    """The reference for dense_indices: one sort of both arrays."""
+    """The reference for a one-batch NodeIndex: one sort of both arrays."""
     ids, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)
     return ids, inverse[:f.size], inverse[f.size:]
 
@@ -222,10 +222,59 @@ def test_dense_indices_match_sort(ends, direct, monkeypatch):
         return unique(*args, **kwargs)
 
     monkeypatch.setattr(np, "unique", spy)
-    got = dense_indices(f, t)
+    got = NodeIndex().add(f, t)
     assert len(sorts) == (0 if direct else 1)
     for a, b in zip(got, expected):
         assert a.dtype == np.int64 and a.tolist() == b.tolist()
+
+
+def dict_index(batches):
+    """The reference numbering, batch by batch: each ID unseen before the
+    batch takes the next index, in ID order within the batch."""
+    index, out = {}, []
+    for f, t in batches:
+        for u in sorted(set(f.tolist() + t.tolist()) - index.keys()):
+            index[u] = len(index)
+        out.append(([index[u] for u in f.tolist()],
+                    [index[u] for u in t.tolist()]))
+    return list(index), out
+
+
+DENSE = np.arange(300)
+# each stream is a list of phases, one run of arcs each; "crosses_gate"
+# starts on the direct table and brings IDs past its bound mid-run
+ID_STREAMS = {
+    "dense": [DENSE],
+    "near_max": [BIG - DENSE],
+    "negative": [DENSE - 150],
+    "crosses_gate": [DENSE, np.append(DENSE, 2 * DIRECT_TABLE_FLOOR + DENSE)],
+}
+
+
+@pytest.mark.parametrize("seed", range(3))
+@pytest.mark.parametrize("stream", sorted(ID_STREAMS))
+def test_node_index_matches_dict_reference(stream, seed):
+    # random batch cuts of 1-7 arcs (a table of ~300 entries has over 8 per
+    # endpoint, so unseen endpoints are sorted) or 40-399 arcs (marked)
+    rng = np.random.default_rng([seed, sorted(ID_STREAMS).index(stream)])
+    arcs = np.concatenate([rng.choice(ids, size=(1500, 2))
+                           for ids in ID_STREAMS[stream]])
+    sizes = np.where(rng.random(arcs.shape[0]) < 0.5,
+                     rng.integers(1, 8, arcs.shape[0]),
+                     rng.integers(40, 400, arcs.shape[0]))
+    cuts = np.cumsum(sizes)
+    cuts = cuts[cuts < arcs.shape[0]]
+    batches = [(a[:, 0].copy(), a[:, 1].copy())
+               for a in np.split(arcs, cuts)]
+    ids, expected = dict_index(batches)
+    index, on_table = NodeIndex(), []
+    for (f, t), (src, dst) in zip(batches, expected):
+        got_ids, got_src, got_dst = index.add(f, t)
+        on_table.append(index.table is not None)
+        assert got_src.tolist() == src and got_dst.tolist() == dst
+        assert got_ids.tolist() == ids[:index.n]
+    assert index.n == len(ids) and on_table[-1] == (stream == "dense")
+    assert on_table[0] or stream != "crosses_gate"
 
 
 def test_pair_keys_round_trip_at_index_limit():

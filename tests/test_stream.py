@@ -287,7 +287,7 @@ def assert_tracker_matches_reference(batches, k):
     for index, batch in enumerate(batches, start=1):
         table = tracker.add(batch)
         assert table == reference.add(batch), index
-        assert tracker.n == reference.node_id.size, index
+        assert tracker.nodes.n == reference.node_id.size, index
         tables.append([row.node_id for row in table.rows])
     return tables
 
@@ -376,8 +376,8 @@ def test_counts_reallocated_logarithmically():
         tracker.add(batch)
         if tracker.counts is not held:
             held, reallocations = tracker.counts, reallocations + 1
-    assert len(batches) > 100 and tracker.n == 120 * 120
-    assert reallocations <= np.log2(tracker.n) + 2
+    assert len(batches) > 100 and tracker.nodes.n == 120 * 120
+    assert reallocations <= np.log2(tracker.nodes.n) + 2
 
 
 def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
@@ -392,29 +392,30 @@ def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
         return insert(arr, *args, **kwargs)
 
     monkeypatch.setattr(np, "insert", spy)
-    held, reallocations = tracker.slot_of, 0
+    nodes = tracker.nodes
+    held, reallocations = nodes.table, 0
     for batch in batches:
         tracker.add(batch)
-        if tracker.slot_of is not held:
-            held, reallocations = tracker.slot_of, reallocations + 1
-    assert tracker.ids is None and into_keys == [True] * len(batches)
-    assert tracker.n == 120 * 120 and tracker.slot_of.size >= tracker.n
-    assert reallocations <= np.log2(tracker.n) + 2
-    assert tracker.slot_of[tracker.node_id[:tracker.n]].tolist() == list(
-        range(tracker.n))
+        if nodes.table is not held:
+            held, reallocations = nodes.table, reallocations + 1
+    assert nodes.sorted_ids is None and into_keys == [True] * len(batches)
+    assert nodes.n == 120 * 120 and nodes.table.size >= nodes.n
+    assert reallocations <= np.log2(nodes.n) + 2
+    assert nodes.table[nodes.ids[:nodes.n]].tolist() == list(range(nodes.n))
 
 
 def test_sparse_batch_moves_the_index_to_the_sorted_path_once():
     top = DIRECT_TABLE_FLOOR - 1  # the largest ID the first batches admit
     tracker = _DegreeTracker(3)
+    nodes = tracker.nodes
     tracker.add(EdgeList.from_records([(5, top), (top, 0)]))
-    assert tracker.ids is None and tracker.slot_of.size == top + 1
+    assert nodes.sorted_ids is None and nodes.table.size == top + 1
     tracker.add(EdgeList.from_records([(0, top + 1)]))
-    assert tracker.ids.tolist() == [-1, 0, 5, top, top + 1]
-    assert tracker.slot_of.tolist() == [-1, 0, 1, 2, 3]
+    assert nodes.sorted_ids.tolist() == [-1, 0, 5, top, top + 1]
+    assert nodes.sorted_index.tolist() == [-1, 0, 1, 2, 3]
     tracker.add(EdgeList.from_records([(1, 2)]))  # dense again, still sorted
-    assert tracker.ids.tolist() == [-1, 0, 1, 2, 5, top, top + 1]
-    assert tracker.slot_of.tolist() == [-1, 0, 4, 5, 1, 2, 3]
+    assert nodes.sorted_ids.tolist() == [-1, 0, 1, 2, 5, top, top + 1]
+    assert nodes.sorted_index.tolist() == [-1, 0, 4, 5, 1, 2, 3]
 
 
 def test_ranked_candidates_stay_near_k(monkeypatch):
