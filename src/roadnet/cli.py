@@ -32,32 +32,24 @@ def _damping(text: str) -> float:
     return value
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _checked(cast, positive: bool):
+    """An argparse type: ``cast(text)``, which must be > 0 when ``positive``
+    and >= 0 otherwise; both checks refuse nan."""
+    wanted = (f"{'positive' if positive else 'non-negative'} "
+              f"{'integer' if cast is int else 'number'}")
+
+    def check(text: str):
+        value = cast(text)
+        if not (value > 0 if positive else value >= 0):
+            raise argparse.ArgumentTypeError(f"expected a {wanted}, got {text}")
+        return value
+
+    check.__name__ = wanted  # argparse names it when cast(text) fails
+    return check
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not value > 0.0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"expected a positive number, got {text}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not value >= 0.0:  # also refuses nan
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
-    return value
+_positive_int, _nonneg_int = _checked(int, True), _checked(int, False)
+_positive_float, _nonneg_float = _checked(float, True), _checked(float, False)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -176,15 +168,14 @@ def _cmd_pagerank(args: argparse.Namespace) -> None:
     ranks = pagerank(graph, damping=args.damping, tolerance=args.tol,
                      max_iterations=args.max_iter, directed=args.directed,
                      threads=args.threads)
-    _warn_unconverged(ranks, args.input)
+    _warn_unconverged(ranks, args.input, args.directed)
     with open(args.out / "pagerank.csv", "w", encoding="utf-8") as fp:
         ranks.to_csv(fp, graph)
     table = top_k_pagerank(ranks, graph, args.top)
     with open(args.out / "pagerank_topk.csv", "w", encoding="utf-8") as fp:
         table.to_csv(fp)
     state = "converged" if ranks.converged else "not converged"
-    print(f"pagerank: {state} after {ranks.iterations_run} iterations "
-          f"(delta={ranks.final_delta:.3e})")
+    print(f"pagerank: {state} after {_solver_end(ranks, args.directed)}")
     print(table.format_triples())
 
 
@@ -206,16 +197,25 @@ def _topk_table(path: Path, args: argparse.Namespace):
     graph = build_graph(load_edge_list(path))
     if args.by == "pagerank":
         ranks = pagerank(graph, threads=args.threads)
-        _warn_unconverged(ranks, path)
+        _warn_unconverged(ranks, path, directed=False)
         return top_k_pagerank(ranks, graph, args.top)
     return top_k_by_degree(graph, args.top)
 
 
-def _warn_unconverged(ranks, path: Path) -> None:
+def _solver_end(ranks, directed: bool) -> str:
+    """The iteration count and the last stopping value: the relative
+    residual of the CG solve, or with --directed the L1 change (delta) of
+    the last power step."""
+    label = "delta" if directed else "residual"
+    return (f"{ranks.iterations_run} iterations "
+            f"({label}={ranks.final_delta:.3e})")
+
+
+def _warn_unconverged(ranks, path: Path, directed: bool) -> None:
     if not ranks.converged:
         print(f"roadnet: warning: {path}: pagerank stopped at the iteration "
-              f"limit before converging, after {ranks.iterations_run} "
-              f"iterations (delta={ranks.final_delta:.3e})", file=sys.stderr)
+              f"limit before converging, after "
+              f"{_solver_end(ranks, directed)}", file=sys.stderr)
 
 
 def _cmd_kmeans(args: argparse.Namespace) -> None:

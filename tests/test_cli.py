@@ -320,9 +320,10 @@ def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys,
     out = tmp_path / "o"
     assert run_cli(*args, "--input", path, "--out", out) == 0
     err = capsys.readouterr().err
+    # the label follows the view the command line asked for: undirected
     assert err.startswith(f"roadnet: warning: {path}: pagerank stopped at "
                           f"the iteration limit before converging, after "
-                          f"{limit} iterations (delta=")
+                          f"{limit} iterations (residual=")
     assert sorted(p.name for p in out.iterdir()) == artifacts
 
 
