@@ -5,11 +5,10 @@ is merged into numpy degree state (node slots from one ``NodeIndex``, and
 the sorted ``pair_keys`` seen so far), and the top-k by undirected degree is
 re-ranked over the previous top-k plus the batch's nodes that beat the
 weakest of them; optionally the cumulative graph is rebuilt and ranked by
-PageRank per batch.  Every batch's table equals the
-batch pipeline's on the prefix read, same tie rules included.  The sorted
-inserts into the pair keys, and into the node index once sparse IDs have
-moved it to its sorted path, are the one per-batch cost that grows with the
-prefix.
+PageRank per batch.  Every batch's table equals the batch pipeline's on the
+prefix read, same tie rules included.  The sorted inserts into the pair
+keys, and into the node index once sparse IDs have moved it to its sorted
+path, are the one per-batch cost that grows with the prefix.
 """
 
 from __future__ import annotations
