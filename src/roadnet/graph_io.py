@@ -277,9 +277,8 @@ class NodeIndex:
     and grows by doubling to the largest ID seen.  A batch past that bound
     moves the index for good to ``sorted_ids`` and their ``sorted_index``,
     which start with an entry of index -1 and take a sorted insert per
-    batch.  On the table, a batch marks its IDs in a ``bool`` array when the
-    table has at most 8 entries per endpoint (a one-batch build), and
-    otherwise sorts its unseen endpoints (a small stream batch).
+    batch.  On the table, the first batch marks its IDs in a ``bool`` array
+    (a one-batch build), and later batches sort their unseen endpoints.
     """
 
     def __init__(self):
@@ -320,12 +319,10 @@ class NodeIndex:
             table = np.full(size, -1, dtype=np.int64)
             table[:self.table.size] = self.table
             self.table = table
-        if self.table.size <= 8 * (f.size + t.size):
+        if self.n == 0:
             seen = np.zeros(self.table.size, dtype=bool)
             seen[f] = True
             seen[t] = True
-            if self.n:
-                seen &= self.table < 0
             fresh = np.flatnonzero(seen)
         else:
             ends = np.concatenate([f, t])

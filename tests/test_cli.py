@@ -327,6 +327,17 @@ def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys,
     assert sorted(p.name for p in out.iterdir()) == artifacts
 
 
+def test_unconverged_directed_pagerank_warns_with_delta(snap_file, tmp_path,
+                                                        capsys,
+                                                        slow_cli_pagerank):
+    path = snap_file(PATH_20)
+    assert run_cli("pagerank", "--directed", "--max-iter", 50,
+                   "--input", path, "--out", tmp_path / "o") == 0
+    assert capsys.readouterr().err.startswith(
+        f"roadnet: warning: {path}: pagerank stopped at the iteration limit "
+        f"before converging, after 50 iterations (delta=")
+
+
 def test_stream_pagerank_warns_on_unconverged_batches(snap_file, tmp_path,
                                                      monkeypatch, capsys):
     # CG needs 3, 6, 8 and 11 iterations on the four prefixes

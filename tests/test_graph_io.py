@@ -254,15 +254,12 @@ ID_STREAMS = {
 @pytest.mark.parametrize("seed", range(3))
 @pytest.mark.parametrize("stream", sorted(ID_STREAMS))
 def test_node_index_matches_dict_reference(stream, seed):
-    # random batch cuts of 1-7 arcs (a table of ~300 entries has over 8 per
-    # endpoint, so unseen endpoints are sorted) or 40-399 arcs (marked)
+    # random batch cuts of 1-99 arcs: on the table the first batch marks
+    # its IDs, and later batches sort their unseen endpoints
     rng = np.random.default_rng([seed, sorted(ID_STREAMS).index(stream)])
     arcs = np.concatenate([rng.choice(ids, size=(1500, 2))
                            for ids in ID_STREAMS[stream]])
-    sizes = np.where(rng.random(arcs.shape[0]) < 0.5,
-                     rng.integers(1, 8, arcs.shape[0]),
-                     rng.integers(40, 400, arcs.shape[0]))
-    cuts = np.cumsum(sizes)
+    cuts = np.cumsum(rng.integers(1, 100, arcs.shape[0]))
     cuts = cuts[cuts < arcs.shape[0]]
     batches = [(a[:, 0].copy(), a[:, 1].copy())
                for a in np.split(arcs, cuts)]
