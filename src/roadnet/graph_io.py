@@ -277,8 +277,9 @@ class NodeIndex:
     and grows by doubling to the largest ID seen.  A batch past that bound
     moves the index for good to ``sorted_ids`` and their ``sorted_index``,
     which start with an entry of index -1 and take a sorted insert per
-    batch.  On the table, the first batch marks its IDs in a ``bool`` array
-    (a one-batch build), and later batches sort their unseen endpoints.
+    batch.  On the table, a batch into an empty index marks its IDs in a
+    ``bool`` array (a one-batch build), and later batches sort their unseen
+    endpoints.
     """
 
     def __init__(self):

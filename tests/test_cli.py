@@ -313,6 +313,8 @@ def slow_cli_pagerank(monkeypatch):
 @pytest.mark.parametrize("args,limit,artifacts", [
     (("pagerank", "--max-iter", 50), 50, ["pagerank.csv", "pagerank_topk.csv"]),
     (("topk", "--by", "pagerank"), 100, ["topk_pagerank.csv"]),
+    (("pagerank", "--directed", "--max-iter", 50), 50,
+     ["pagerank.csv", "pagerank_topk.csv"]),
 ])
 def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys,
                                     slow_cli_pagerank, args, limit, artifacts):
@@ -320,22 +322,12 @@ def test_unconverged_pagerank_warns(snap_file, tmp_path, capsys,
     out = tmp_path / "o"
     assert run_cli(*args, "--input", path, "--out", out) == 0
     err = capsys.readouterr().err
-    # the label follows the view the command line asked for: undirected
+    # the label follows the view the command line asked for
+    label = "delta" if "--directed" in args else "residual"
     assert err.startswith(f"roadnet: warning: {path}: pagerank stopped at "
                           f"the iteration limit before converging, after "
-                          f"{limit} iterations (residual=")
+                          f"{limit} iterations ({label}=")
     assert sorted(p.name for p in out.iterdir()) == artifacts
-
-
-def test_unconverged_directed_pagerank_warns_with_delta(snap_file, tmp_path,
-                                                        capsys,
-                                                        slow_cli_pagerank):
-    path = snap_file(PATH_20)
-    assert run_cli("pagerank", "--directed", "--max-iter", 50,
-                   "--input", path, "--out", tmp_path / "o") == 0
-    assert capsys.readouterr().err.startswith(
-        f"roadnet: warning: {path}: pagerank stopped at the iteration limit "
-        f"before converging, after 50 iterations (delta=")
 
 
 def test_stream_pagerank_warns_on_unconverged_batches(snap_file, tmp_path,
