@@ -285,8 +285,8 @@ def main(argv=None) -> int:
     if not args.input.exists():
         print(f"roadnet: input file not found: {args.input}", file=sys.stderr)
         return 1
-    args.out.mkdir(parents=True, exist_ok=True)
     try:
+        args.out.mkdir(parents=True, exist_ok=True)
         args.handler(args)
     except (ValueError, OSError) as exc:
         print(f"roadnet: {exc}", file=sys.stderr)

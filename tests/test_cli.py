@@ -55,6 +55,19 @@ def test_out_of_range_id_is_data_error(tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("sub", ["", "sub"])
+def test_out_naming_a_file_is_data_error(snap_file, tmp_path, capsys, sub):
+    path = snap_file([(0, 1)])
+    afile = tmp_path / "afile"
+    afile.write_text("kept\n")
+    rc = run_cli("summary", "--input", path, "--out", afile / sub)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("roadnet: ") and str(afile) in err
+    assert "Traceback" not in err
+    assert afile.read_text() == "kept\n"
+
+
 def test_unknown_command_exits_2(capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli("frobnicate", "--input", "x")

@@ -9,10 +9,13 @@ import io
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from roadnet import (EdgeList, PageRankVector, build_graph, pagerank,
                      write_edge_list)
-from roadnet._text import CHUNK_ROWS
+from roadnet import _text
+from roadnet._text import CHUNK_ROWS, Floats, write_rows
 from roadnet.cli import main
 
 SIZES = [CHUNK_ROWS - 1, CHUNK_ROWS, CHUNK_ROWS + 1]
@@ -118,3 +121,81 @@ def test_edge_list_refuses_negative_ids():
         edges = EdgeList(from_ids=np.array(f), to_ids=np.array(t))
         with pytest.raises(ValueError):
             write_edge_list(edges, io.StringIO())
+
+
+def floats_text(v):
+    buf = io.StringIO()
+    write_rows(buf, [Floats(v), "\n"])
+    return buf.getvalue()
+
+
+def loop_floats_text(v):
+    return "".join(map("{!r}\n".format, v.tolist()))
+
+
+def assert_floats_match_repr(v):
+    """The row writer's text equals the repr loop's; on a mismatch, name
+    the first rows that differ rather than diff megabytes of text."""
+    got, want = floats_text(v), loop_floats_text(v)
+    same = got == want
+    assert same, [(a, b) for a, b in zip(got.splitlines(), want.splitlines())
+                  if a != b][:5]
+
+
+def with_neighbours(v):
+    v = np.asarray(v, dtype=np.float64)
+    return np.concatenate([v, np.nextafter(v, 0), np.nextafter(v, np.inf)])
+
+
+def test_shortest_digits_sweep_matches_repr():
+    """Every chunk holds only positive normals, so all of them take the
+    shortest-digits path."""
+    rng = np.random.default_rng(14)
+    normals = rng.integers(1 << 52, 0x7FF << 52, size=10**6, dtype=np.uint64)
+    v = np.concatenate([
+        normals.view(np.float64),
+        2.0 ** np.arange(-1022, 1024),  # c = 2**52: irregular spacing
+        with_neighbours(10.0 ** np.arange(-307, 309)),
+        with_neighbours([1e-5, 1e-4, 1e16]),  # where repr switches notation
+        np.arange(2**53 - 300, 2**53 + 300, dtype=np.float64),
+        rng.integers(1, 10, 3000) * 10.0 ** rng.integers(-300, 300, 3000),
+    ])
+    rng.shuffle(v)
+    assert_floats_match_repr(v)
+
+
+FLOATS = st.one_of(
+    st.floats(),
+    st.floats(min_value=np.finfo(np.float64).tiny, allow_infinity=False),
+    st.integers(0, 2 * 10**16).map(float))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(FLOATS, min_size=1, max_size=40), st.integers(1, 9))
+def test_floats_match_repr_in_every_chunk(values, chunk_rows):
+    """Chunks mix every kind of value, nan, inf, -0.0 and subnormals
+    included; each chunk picks its own path."""
+    v = np.array(values, dtype=np.float64)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(_text, "CHUNK_ROWS", chunk_rows)
+        assert_floats_match_repr(v)
+
+
+def test_pagerank_scores_never_call_repr(monkeypatch):
+    calls = []
+
+    def spy(x):
+        calls.append(x)
+        return repr(x)
+
+    monkeypatch.setattr(_text, "repr", spy, raising=False)
+    graph = build_graph(mixed_graph_edges(CHUNK_ROWS + 1, seed=3))
+    ranks = pagerank(graph)
+    pagerank_csv(ranks, graph)
+    assert calls == []
+    assert_floats_match_repr(ranks.scores)
+    assert calls == []
+    scores = ranks.scores.copy()
+    scores[0] = 0.0  # the first chunk now falls back, the last does not
+    assert_floats_match_repr(scores)
+    assert len(calls) == CHUNK_ROWS
