@@ -1,12 +1,12 @@
 #!/usr/bin/env python3
 """Wall time of each pipeline stage on a PA-scale synthetic road grid.
 
-    python scripts/pa_scale.py [--side 1044] [--threads 1]
+    python scripts/pa_scale.py [--threads 1]
 
-Builds bench/gen.py's ``make_grid(side, 0)`` in process (at side 1044:
-3,091,946 arcs over 1,082,042 nodes, about the size of SNAP's roadNet-PA),
-writes it as a SNAP edge list in a temporary directory, and prints one line of
-wall time per stage, each run once:
+Builds bench/gen.py's ``make_grid(1044, 0)`` in process (3,091,946 arcs over
+1,082,042 nodes, about the size of SNAP's roadNet-PA), writes it as a SNAP
+edge list in a temporary directory, and prints one line of wall time per
+stage, each run once:
 
     load_edge_list, build_graph, pagerank (tol 1e-10), pagerank.csv,
     kmeans (k 3, 20 passes), kmeans_points.csv, run_stream (batch 2,500)
@@ -29,6 +29,8 @@ from gen import make_grid, write_grid  # noqa: E402
 from roadnet import (build_graph, edges_to_points, kmeans,  # noqa: E402
                      load_edge_list, pagerank, run_stream)
 
+SIDE = 1044  # grid side whose node count matches roadNet-PA
+
 
 @contextmanager
 def stage(name: str):
@@ -39,12 +41,11 @@ def stage(name: str):
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--side", type=int, default=1044)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        path = write_grid(make_grid(args.side, 0), work / "grid.txt", "0")
+        path = write_grid(make_grid(SIDE, 0), work / "grid.txt", "0")
         with stage("load_edge_list"):
             edges = load_edge_list(path)
         with stage("build_graph"):
