@@ -135,15 +135,23 @@ def _fmt_score(score) -> str:
 
 
 def top_k_order(scores: np.ndarray, ids: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k best entries under (descending score, ascending ID).
+    """Indices of the k best entries under (descending score, ascending ID),
+    for distinct ``ids``.
 
-    Only the entries scoring at least the k-th best score are sorted; every
-    tie at that score is among them, so the order is exact.
+    Every entry above the k-th best score wins, and so do the lowest IDs of
+    the entries tied at it; only those k winners are sorted.
     """
     k = min(k, scores.size)
     if 0 < k < scores.size:
-        cand = np.flatnonzero(scores >= np.partition(scores, -k)[-k])
-        return cand[np.lexsort((ids[cand], -scores[cand]))][:k]
+        cut = np.partition(scores, -k)[-k]
+        cand = np.flatnonzero(scores >= cut)
+        if cand.size > k:
+            tied = scores[cand] == cut
+            at = cand[tied]
+            need = k - (cand.size - at.size)  # >= 1: cut is a k-th score
+            cand = np.concatenate([
+                cand[~tied], at[np.argpartition(ids[at], need - 1)[:need]]])
+        return cand[np.lexsort((ids[cand], -scores[cand]))]
     return np.lexsort((ids, -scores))[:k]
 
 

@@ -102,12 +102,15 @@ class DatasetSummary:
 @contextmanager
 def _as_text(reader) -> Iterator[IO[str]]:
     """``reader`` as a text stream.  A wrapper made here for a binary stream
-    is detached when reading ends, so the caller's stream stays open."""
+    decodes bytes that are not UTF-8 to lone surrogates, so the scanner
+    reports their line, and is detached when reading ends, so the caller's
+    stream stays open."""
     if not (isinstance(reader, (io.RawIOBase, io.BufferedIOBase))
             or "b" in getattr(reader, "mode", "")):
         yield reader
         return
-    text = io.TextIOWrapper(reader, encoding="utf-8")
+    text = io.TextIOWrapper(reader, encoding="utf-8",
+                            errors="surrogateescape")
     try:
         yield text
     finally:
@@ -229,15 +232,13 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
             failure = None
             try:  # extend keeps the lines read before a failure
                 lines.extend(islice(text, BLOCK_LINES))
-            except (OSError, ValueError) as exc:  # a read or decode failure
+            except OSError as exc:
                 failure = exc
             yield from _block_edges(lines, first_line, source_name)
             first_line += len(lines)
-            if isinstance(failure, OSError):
+            if failure is not None:
                 raise OSError(f"while reading {source_name}: {failure}"
                               ) from failure
-            if failure is not None:
-                raise failure
             if len(lines) < BLOCK_LINES:
                 return
 
@@ -267,10 +268,9 @@ def write_edge_list(edges: EdgeList, fp: IO[str]) -> None:
 
 
 class NodeIndex:
-    """Dense indices 0, 1, ... of node IDs, given out batch by batch and in
-    ID order within a batch, so an ID keeps its first index and one batch
-    is numbered as ``np.unique`` would number it.  ``ids[:n]`` are the IDs
-    of the indices; their capacity doubles when outgrown.
+    """Map node IDs to dense indices 0, 1, ... given out batch by batch and
+    in ID order within a batch, so an ID keeps its first index and one batch
+    is numbered as ``np.unique`` would number it.
 
     ``table`` maps IDs to indices (-1 where unseen) while every ID is
     non-negative and below ``max(DIRECT_TABLE_FLOOR, 4 * (n + endpoints))``,
@@ -284,12 +284,12 @@ class NodeIndex:
 
     def __init__(self):
         self.n = 0
-        self.ids = self.table = np.zeros(0, dtype=np.int64)
+        self.table = np.zeros(0, dtype=np.int64)
         self.sorted_ids = self.sorted_index = None
 
     def add(self, f: np.ndarray, t: np.ndarray):
-        """Index the endpoints of the arcs f -> t.  Returns the IDs of
-        indices 0..n-1, and f and t as indices."""
+        """Index the endpoints of the arcs f -> t.  Returns the IDs first
+        indexed by this batch, in index order, and f and t as indices."""
         lo = min(f.min(initial=0), t.min(initial=0))
         top = int(max(f.max(initial=-1), t.max(initial=-1)))
         limit = max(DIRECT_TABLE_FLOOR, 4 * (self.n + f.size + t.size))
@@ -302,17 +302,8 @@ class NodeIndex:
             src, dst, fresh = self._add_sorted(f, t)
         else:
             src, dst, fresh = self._add_direct(f, t, top, limit)
-        n = self.n + fresh.size
-        if self.n == 0:
-            self.ids = fresh
-        else:
-            if n > self.ids.size:
-                ids = np.empty(max(n, 2 * self.ids.size), dtype=np.int64)
-                ids[:self.n] = self.ids[:self.n]
-                self.ids = ids
-            self.ids[self.n:n] = fresh
-        self.n = n
-        return self.ids[:n], src, dst
+        self.n += fresh.size
+        return fresh, src, dst
 
     def _add_direct(self, f, t, top: int, limit: int):
         if top >= self.table.size:

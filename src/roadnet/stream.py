@@ -3,12 +3,12 @@
 The edge stream is consumed in fixed-size chunks of data lines.  Each batch
 is merged into numpy degree state (node slots from one ``NodeIndex``, and
 the sorted ``pair_keys`` seen so far), and the top-k by undirected degree is
-re-ranked over the previous top-k plus the batch's nodes that beat the
-weakest of them; optionally the cumulative graph is rebuilt and ranked by
-PageRank per batch.  Every batch's table equals the batch pipeline's on the
-prefix read, same tie rules included.  The sorted inserts into the pair
-keys, and into the node index once sparse IDs have moved it to its sorted
-path, are the one per-batch cost that grows with the prefix.
+re-ranked over the previous top-k plus the batch's nodes by ``top_k_order``,
+the batch pipeline's own cut; optionally the cumulative graph is rebuilt and
+ranked by PageRank per batch.  Every batch's table equals the batch
+pipeline's on the prefix read, same tie rules included.  The sorted inserts
+into the pair keys, and into the node index once sparse IDs have moved it to
+its sorted path, are the one per-batch cost that grows with the prefix.
 """
 
 from __future__ import annotations
@@ -80,17 +80,15 @@ class _DegreeTracker:
     """Cumulative degrees and top-k table over a stream of arcs.
 
     ``nodes`` numbers the nodes batch by batch (see ``NodeIndex``), and the
-    rows of ``counts`` (degree, indegree, outdegree) are indexed by those
+    columns of ``slots`` (node ID, degree, indegree, outdegree) are indexed
+    by those numbers.  ``slots`` has a capacity that doubles when outgrown
+    and is zero past the slots in use, so a batch touches only its own
     slots.  ``keys`` are the ``pair_keys`` over slots so far; they start
     with a -1 sentinel, so ``searchsorted(side="right") - 1`` always indexes
-    an entry.  ``counts`` has a capacity that doubles when outgrown and is
-    zero past the slots in use, so a batch touches only its own slots.
+    an entry.
 
-    Once ``top`` holds k slots, only the old leaders and those batch nodes
-    that beat the weakest old leader (current degree desc, ID asc) are
-    ranked.  That is exact: degrees only grow, so a node outside the batch
-    still trails all k old leaders, and a batch node that does not beat the
-    weakest of them trails them all too.
+    Each batch ranks the old leaders and the batch's nodes: degrees only
+    grow, so a node outside the batch still trails the old leaders.
     """
 
     def __init__(self, k: int):
@@ -98,18 +96,20 @@ class _DegreeTracker:
         self.nodes = NodeIndex()
         self.keys = np.full(1, -1, dtype=np.int64)
         self.top = np.zeros(0, dtype=np.int64)
-        self.counts = np.zeros((3, 0), dtype=np.int64)
+        self.slots = np.zeros((4, 0), dtype=np.int64)
 
     def add(self, edges: EdgeList) -> TopKTable:
         """Merge one batch of arcs; return the new top-k table."""
-        node_id, src, dst = self.nodes.add(edges.from_ids, edges.to_ids)
-        n = node_id.size
-        if n > self.counts.shape[1]:
-            counts = np.zeros((3, max(n, 2 * self.counts.shape[1])),
-                              dtype=np.int64)
-            counts[:, :self.counts.shape[1]] = self.counts
-            self.counts = counts
-        deg, indeg, outdeg = self.counts
+        old = self.nodes.n
+        fresh, src, dst = self.nodes.add(edges.from_ids, edges.to_ids)
+        n = self.nodes.n
+        if n > self.slots.shape[1]:
+            slots = np.zeros((4, max(n, 2 * self.slots.shape[1])),
+                             dtype=np.int64)
+            slots[:, :old] = self.slots[:, :old]
+            self.slots = slots
+        node_id, deg, indeg, outdeg = self.slots
+        node_id[old:n] = fresh
         np.add.at(indeg, dst, 1)
         np.add.at(outdeg, src, 1)
         keys = pair_keys(src, dst, n)
@@ -117,15 +117,9 @@ class _DegreeTracker:
         unseen = self.keys[at - 1] != keys
         self.keys = np.insert(self.keys, at[unseen], keys[unseen])
         np.add.at(deg, np.concatenate(split_keys(keys[unseen])), 1)
-        cand = batch = sorted_distinct(np.concatenate([src, dst]))
-        if self.top.size == self.k:
-            low = deg[self.top].min()
-            last = node_id[self.top][deg[self.top] == low].max()
-            d = deg[batch]
-            cand = batch[(d > low) | ((d == low) & (node_id[batch] < last))]
-        cand = sorted_distinct(np.concatenate([self.top, cand]))
+        cand = sorted_distinct(np.concatenate([self.top, src, dst]))
         self.top = cand[top_k_order(deg[cand], node_id[cand], self.k)]
-        return top_k_table(node_id, deg, self.counts, self.top, self.k)
+        return top_k_table(node_id, deg, self.slots[1:], self.top, self.k)
 
 
 def run_stream(reader, batch_size: int, k: int = 10,

@@ -45,6 +45,18 @@ def test_parse_error_reports_line(tmp_path, capsys):
     assert ":2:" in err and "oops" in err
 
 
+def test_non_utf8_byte_reports_line(tmp_path, capsys):
+    bad = tmp_path / "bad.txt"
+    bad.write_bytes(b"0\t1\n1\t2\n\xff\t3\n")
+    out = tmp_path / "o"
+    rc = run_cli("stream", "--input", bad, "--out", out, "--batch-size", "1")
+    assert rc == 1
+    assert capsys.readouterr().err == (
+        f"roadnet: {bad}:3: non-integer node identifier: '\\udcff\\t3'\n")
+    batches = (out / "stream.ndjson").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(b)["batch"] for b in batches] == [1, 2]
+
+
 def test_out_of_range_id_is_data_error(tmp_path, capsys):
     bad = tmp_path / "big.txt"
     bad.write_text("0\t1\n0\t9223372036854775808\n")

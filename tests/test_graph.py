@@ -143,7 +143,10 @@ def test_top_k_order_matches_full_sort(seed):
     ids = rng.permutation(5 * n)[:n]
     ties = rng.integers(0, 4, size=n)  # integer scores, many ties
     floats = rng.choice(rng.random(max(n // 3, 1)), size=n)
-    for scores in (ties, floats):
+    equal = np.full(n, 0.5)
+    # most entries share the middle score, so the k-th score is tied there
+    most = np.where(rng.random(n) < 0.8, 3, rng.choice([1, 5], size=n))
+    for scores in (ties, floats, equal, most):
         for k in sorted({1, 2, n // 2 + 1, n - 1, n, n + 1, 10 * n} - {0}):
             expected = np.lexsort((ids, -scores))[:k]
             assert top_k_order(scores, ids, k).tolist() == expected.tolist()

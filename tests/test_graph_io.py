@@ -264,12 +264,13 @@ def test_node_index_matches_dict_reference(stream, seed):
     batches = [(a[:, 0].copy(), a[:, 1].copy())
                for a in np.split(arcs, cuts)]
     ids, expected = dict_index(batches)
-    index, on_table = NodeIndex(), []
+    index, on_table, got_ids = NodeIndex(), [], []
     for (f, t), (src, dst) in zip(batches, expected):
-        got_ids, got_src, got_dst = index.add(f, t)
+        fresh, got_src, got_dst = index.add(f, t)
         on_table.append(index.table is not None)
         assert got_src.tolist() == src and got_dst.tolist() == dst
-        assert got_ids.tolist() == ids[:index.n]
+        got_ids += fresh.tolist()
+        assert got_ids == ids[:index.n]
     assert index.n == len(ids) and on_table[-1] == (stream == "dense")
     assert on_table[0] or stream != "crosses_gate"
 
@@ -346,7 +347,9 @@ PIECES = ["0", "7", "42", "123456789012345678", "9223372036854775807",
 def test_block_parser_matches_line_scanner(text, block_lines):
     with mock.patch.object(graph_io, "BLOCK_LINES", block_lines):
         assert_parses_like_scanner(text)
-        assert_parses_like_scanner(text.encode("utf-8"))
+        data = text.encode("utf-8")
+        assert_parses_like_scanner(data)
+        assert_parses_like_scanner(data.replace(b"x", b"\xff"))  # not UTF-8
 
 
 def test_line_holding_two_newlines_stays_one_line():
@@ -368,6 +371,21 @@ def test_bad_line_in_third_block_has_absolute_line_number():
         parse_edge_list(io.StringIO("".join(lines)), "big.txt")
     assert err.value.line_number == 2 * BLOCK_LINES + 101
     assert err.value.text == "12\tx7"
+
+
+@pytest.mark.parametrize("bad_line", [3, 2 * BLOCK_LINES + 101])
+def test_non_utf8_byte_reports_its_line(bad_line):
+    # a comment of bytes that are not UTF-8 is skipped; a data line is not
+    lines = [s.encode() for s in data_lines(3 * BLOCK_LINES)]
+    lines[0] = b"# caf\xe9 \xff\n"
+    lines[bad_line - 1] = b"\xff\t3\n"
+    data = b"".join(lines)
+    assert_parses_like_scanner(data)
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(io.BytesIO(data), "bad.txt")
+    assert err.value.line_number == bad_line
+    assert str(err.value) == (f"bad.txt:{bad_line}: non-integer node "
+                              "identifier: '\\udcff\\t3'")
 
 
 def test_mid_file_comments_and_blank_lines():

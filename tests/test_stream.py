@@ -7,9 +7,8 @@ import pytest
 from roadnet import (DatasetSummary, EdgeList, ParseError, build_graph,
                      pagerank, run_stream, stream_batches, summarize,
                      top_k_by_degree, top_k_pagerank, write_edge_list)
-import roadnet.stream
 from roadnet.graph import (TopKRow, TopKTable, degree_attributes,
-                           sorted_distinct, split_keys, top_k_order)
+                           sorted_distinct, split_keys)
 from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR,
                               iter_edge_lines, pair_keys)
 from roadnet.stream import _DegreeTracker, write_ndjson
@@ -85,6 +84,21 @@ def test_batches_before_parse_error_match_line_by_line_read():
             emitted += 1
     assert err.value.line_number == 20_001
     assert emitted == 9_999
+
+
+@pytest.mark.parametrize("bad_line", [3, 2 * BLOCK_LINES + 101])
+def test_batches_before_non_utf8_byte_are_emitted(bad_line):
+    # a '#' header, then data lines; line bad_line holds the byte 0xff
+    lines = [f"{i}\t{i + 1}\n".encode() for i in range(3 * BLOCK_LINES)]
+    lines[0] = b"# \xfe header\n"
+    lines[bad_line - 1] = b"\xff\t3\n"
+    emitted = 0
+    with pytest.raises(ParseError) as err:
+        for _ in stream_batches(io.BytesIO(b"".join(lines)), 1, "s.txt"):
+            emitted += 1
+    assert err.value.line_number == bad_line
+    assert err.value.text == "\udcff\t3"
+    assert emitted == bad_line - 2
 
 
 def test_batches_before_io_failure_are_emitted():
@@ -371,18 +385,18 @@ def lattice_batches(side, batch_size):
 def test_counts_reallocated_logarithmically():
     batches = lattice_batches(120, 500)
     tracker = _DegreeTracker(10)
-    held, reallocations = tracker.counts, 0
+    held, reallocations = tracker.slots, 0
     for batch in batches:
         tracker.add(batch)
-        if tracker.counts is not held:
-            held, reallocations = tracker.counts, reallocations + 1
+        if tracker.slots is not held:
+            held, reallocations = tracker.slots, reallocations + 1
     assert len(batches) > 100 and tracker.nodes.n == 120 * 120
     assert reallocations <= np.log2(tracker.nodes.n) + 2
 
 
 def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
-    # only the pair keys take sorted inserts, and the slot table and the
-    # IDs of the slots grow by doubling as the lattice is read batch by batch
+    # only the pair keys take sorted inserts, and the ID table and the
+    # per-slot table grow by doubling as the lattice is read batch by batch
     batches = lattice_batches(120, 500)
     tracker = _DegreeTracker(10)
     into_keys, insert = [], np.insert
@@ -393,16 +407,17 @@ def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
 
     monkeypatch.setattr(np, "insert", spy)
     nodes = tracker.nodes
-    held, reallocations = [nodes.table, nodes.ids], [0, 0]
+    held, reallocations = [nodes.table, tracker.slots], [0, 0]
     for batch in batches:
         tracker.add(batch)
-        for i, arr in enumerate([nodes.table, nodes.ids]):
+        for i, arr in enumerate([nodes.table, tracker.slots]):
             if arr is not held[i]:
                 held[i], reallocations[i] = arr, reallocations[i] + 1
     assert nodes.sorted_ids is None and into_keys == [True] * len(batches)
     assert nodes.n == 120 * 120 and nodes.table.size >= nodes.n
     assert max(reallocations) <= np.log2(nodes.n) + 2
-    assert nodes.table[nodes.ids[:nodes.n]].tolist() == list(range(nodes.n))
+    node_id = tracker.slots[0, :nodes.n]
+    assert nodes.table[node_id].tolist() == list(range(nodes.n))
 
 
 def test_sparse_batch_moves_the_index_to_the_sorted_path_once():
@@ -420,22 +435,18 @@ def test_sparse_batch_moves_the_index_to_the_sorted_path_once():
 
 
 def test_ranked_candidates_stay_near_k(monkeypatch):
-    # read in from-ID order, a lattice's lowest-ID nodes of degree 4 lead
-    # early, so few later batch nodes beat the weakest of them
-    ranked = []
+    # each batch ranks all of its nodes, but top_k_order sorts only the k
+    # winners: the lattice's many ties at degree 4 are cut by ID first
+    batches = lattice_batches(100, 500)
+    sorted_sizes, lexsort = [], np.lexsort
 
-    def spy(scores, ids, k):
-        ranked.append(scores.size)
-        return top_k_order(scores, ids, k)
+    def spy(keys, *args, **kwargs):
+        sorted_sizes.append(len(keys[0]))
+        return lexsort(keys, *args, **kwargs)
 
-    monkeypatch.setattr(roadnet.stream, "top_k_order", spy)
+    monkeypatch.setattr(np, "lexsort", spy)
     k = 10
     tracker = _DegreeTracker(k)
-    for batch in lattice_batches(100, 500):
-        full = tracker.top.size == k
+    for batch in batches:
         tracker.add(batch)
-        if full:
-            batch_nodes = np.unique(np.concatenate(
-                [batch.from_ids, batch.to_ids])).size
-            assert ranked[-1] <= 2 * k < batch_nodes
-    assert len(ranked) == 80
+    assert sorted_sizes == [k] * len(batches) and len(batches) == 80
