@@ -3,23 +3,28 @@
 
     python scripts/pa_scale.py [--threads 1]
 
-Builds bench/gen.py's ``make_grid(1044, 0)`` in process (3,091,946 arcs over
-1,082,042 nodes, about the size of SNAP's roadNet-PA), writes it as a SNAP
-edge list in a temporary directory, and prints one line of wall time per
-stage, each run once:
+Builds bench/gen.py's ``make_grid(1044, 0)`` (3,091,946 arcs over 1,082,042
+nodes, about the size of SNAP's roadNet-PA) and writes it as a SNAP edge list
+in a temporary directory, in a child process so that the high-water RSS is
+the stages' own.  Then it prints one line per stage, each run once, with
+its wall time and the process high-water RSS after it:
 
     load_edge_list, build_graph, pagerank (tol 1e-10), pagerank.csv,
-    kmeans (k 3, 20 passes), kmeans_points.csv, run_stream (batch 2,500)
+    pagerank --directed (30 power steps), kmeans (k 3, 20 passes),
+    kmeans_points.csv, run_stream (batch 2,500)
 
 It is not part of the test suite.  Perf changes quote its lines before and
 after, run on the same host.
 """
 
 import argparse
+import resource
 import sys
 import tempfile
 import time
+from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
+from multiprocessing import get_context
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -32,11 +37,28 @@ from roadnet import (build_graph, edges_to_points, kmeans,  # noqa: E402
 SIDE = 1044  # grid side whose node count matches roadNet-PA
 
 
+def write_pa_grid(path: Path) -> None:
+    write_grid(make_grid(SIDE, 0), path, "0")
+
+
+def high_water_mb() -> float:
+    """``VmHWM`` of this process, or ``ru_maxrss`` where /proc is missing."""
+    try:
+        with open("/proc/self/status", encoding="ascii") as fp:
+            for line in fp:
+                if line.startswith("VmHWM:"):
+                    return int(line.split()[1]) / 1024
+    except OSError:
+        pass
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+
 @contextmanager
 def stage(name: str):
     start = time.perf_counter()
     yield
-    print(f"{name:<20} {time.perf_counter() - start:8.3f} s", flush=True)
+    print(f"{name:<20} {time.perf_counter() - start:8.3f} s"
+          f"  {high_water_mb():8.1f} MB", flush=True)
 
 
 def main() -> int:
@@ -45,7 +67,9 @@ def main() -> int:
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
         work = Path(work)
-        path = write_grid(make_grid(SIDE, 0), work / "grid.txt", "0")
+        path = work / "grid.txt"
+        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+            pool.submit(write_pa_grid, path).result()
         with stage("load_edge_list"):
             edges = load_edge_list(path)
         with stage("build_graph"):
@@ -56,6 +80,9 @@ def main() -> int:
         with stage("pagerank.csv"), \
                 open(work / "pagerank.csv", "w", encoding="utf-8") as fp:
             ranks.to_csv(fp, graph)
+        with stage("pagerank --directed"):
+            pagerank(graph, tolerance=1e-10, max_iterations=30, directed=True,
+                     threads=args.threads)
         del graph, ranks
         points = edges_to_points(edges)
         with stage("kmeans"):

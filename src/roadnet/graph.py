@@ -17,24 +17,21 @@ class Graph:
     Two views are kept side by side.  The symmetrized simple undirected view
     (self-loops dropped, parallel edges merged) is a CSR.  The raw directed
     arc multiset, exactly as read from the file (duplicates and self-loops
-    preserved), is kept as an in-arc CSR (``in_neighbors`` lists the sources
-    of each node's in-arcs) plus per-node ``outdegrees``.  ``id_map[i]``
-    gives the original node identifier of dense index ``i``; it is sorted
-    ascending, so dense order is original-ID order.
+    preserved), is kept as the arcs ``sources[j] -> targets[j]`` in file
+    order.  ``id_map[i]`` gives the original node identifier of dense index
+    ``i``; it is sorted ascending, so dense order is original-ID order.
     """
 
     n: int
     undirected_offsets: np.ndarray
     undirected_neighbors: np.ndarray
-    in_offsets: np.ndarray
-    in_neighbors: np.ndarray
-    outdegrees: np.ndarray
+    sources: np.ndarray
+    targets: np.ndarray
     id_map: np.ndarray
 
     def __post_init__(self):
         for arr in (self.undirected_offsets, self.undirected_neighbors,
-                    self.in_offsets, self.in_neighbors, self.outdegrees,
-                    self.id_map):
+                    self.sources, self.targets, self.id_map):
             arr.flags.writeable = False
 
     @property
@@ -44,7 +41,7 @@ class Graph:
     @property
     def arc_count(self) -> int:
         """Raw directed arcs, duplicates and self-loops included."""
-        return int(self.in_neighbors.size)
+        return int(self.sources.size)
 
     @cached_property
     def degrees(self) -> np.ndarray:
@@ -52,7 +49,11 @@ class Graph:
 
     @cached_property
     def indegrees(self) -> np.ndarray:
-        return _frozen(np.diff(self.in_offsets))
+        return _frozen(np.bincount(self.targets, minlength=self.n))
+
+    @cached_property
+    def outdegrees(self) -> np.ndarray:
+        return _frozen(np.bincount(self.sources, minlength=self.n))
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
@@ -89,7 +90,9 @@ def sorted_distinct(values: np.ndarray) -> np.ndarray:
 
 def csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
     """Build (offsets, neighbors) with each neighbor run sorted ascending."""
-    _, neighbors = split_keys(np.sort(arc_keys(src, dst, n)))
+    neighbors = arc_keys(src, dst, n)
+    neighbors.sort()
+    neighbors &= 0xFFFFFFFF  # keep the dst half of each sorted key, in place
     counts = np.bincount(src, minlength=n)
     offsets = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(counts, out=offsets[1:])

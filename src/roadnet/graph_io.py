@@ -123,9 +123,9 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
 
     Comments (leading ``#``) and blank lines are skipped.  A data line is
     two tokens of ASCII digits (a leading ``-`` is reported as negative).
-    Malformed lines raise ParseError; I/O failures propagate with the source
-    name attached.  This per-line scanner defines the accepted format:
-    ``iter_edge_blocks`` falls back to it and is tested against it.
+    Malformed lines raise ParseError; I/O and decode failures propagate with
+    the source name attached.  This per-line scanner defines the accepted
+    format: ``iter_edge_blocks`` falls back to it and is tested against it.
     """
     with _as_text(reader) as text:
         try:
@@ -149,8 +149,14 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
                     raise ParseError(source_name, line_number, line,
                                      "node identifier out of range")
                 yield line_number, u, v
-        except OSError as exc:
-            raise OSError(f"while reading {source_name}: {exc}") from exc
+        except (OSError, UnicodeDecodeError) as exc:
+            raise _read_failure(exc, source_name) from exc
+
+
+def _read_failure(exc: Exception, source_name: str) -> Exception:
+    """An OSError, or a ValueError for bytes a text stream cannot decode."""
+    kind = ValueError if isinstance(exc, UnicodeDecodeError) else OSError
+    return kind(f"while reading {source_name}: {exc}")
 
 
 def _strict_pairs(lines: list[str]) -> np.ndarray | None:
@@ -222,8 +228,9 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
 
     Accepts, rejects and reports exactly as ``iter_edge_lines``: the same
     rows, the same ParseError (line number, text, reason) after the same
-    rows, and I/O failures with the source name attached after the rows
-    read before them.
+    rows, and I/O and decode failures with the source name attached after
+    the rows read before them.  A text stream decodes ahead of the lines it
+    returns, so a decode failure names no line.
     """
     first_line = 1
     with _as_text(reader) as text:
@@ -232,13 +239,12 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
             failure = None
             try:  # extend keeps the lines read before a failure
                 lines.extend(islice(text, BLOCK_LINES))
-            except OSError as exc:
+            except (OSError, UnicodeDecodeError) as exc:
                 failure = exc
             yield from _block_edges(lines, first_line, source_name)
             first_line += len(lines)
             if failure is not None:
-                raise OSError(f"while reading {source_name}: {failure}"
-                              ) from failure
+                raise _read_failure(failure, source_name) from failure
             if len(lines) < BLOCK_LINES:
                 return
 
@@ -358,24 +364,15 @@ def build_graph(edges: EdgeList) -> Graph:
     """Build the immutable two-view graph.
 
     Directed view: raw arc multiset, duplicates and self-loops preserved,
-    as the in-arc CSR plus the out-degree counts.
+    as the dense endpoints of each arc in file order.
     Undirected view: symmetrized simple graph (self-loops dropped, parallel
     edges merged).  Original IDs map to dense 0..n-1 in ascending ID order.
     """
     ids, src, dst = NodeIndex().add(edges.from_ids, edges.to_ids)
     n = ids.size
-    in_offsets, in_neighbors = csr_from_arcs(n, dst, src)
-
     lo, hi = split_keys(pair_keys(src, dst, n))
-    undirected_offsets, undirected_neighbors = csr_from_arcs(
-        n, np.concatenate([lo, hi]), np.concatenate([hi, lo]))
-
-    return Graph(
-        n=n,
-        undirected_offsets=undirected_offsets,
-        undirected_neighbors=undirected_neighbors,
-        in_offsets=in_offsets,
-        in_neighbors=in_neighbors,
-        outdegrees=np.bincount(src, minlength=n),
-        id_map=ids,
-    )
+    offsets, neighbors = csr_from_arcs(n, np.concatenate([lo, hi]),
+                                       np.concatenate([hi, lo]))
+    return Graph(n=n, undirected_offsets=offsets,
+                 undirected_neighbors=neighbors, sources=src, targets=dst,
+                 id_map=ids)

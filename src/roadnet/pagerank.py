@@ -16,8 +16,9 @@ relative residual ``||r|| / ||b||``.  Nodes with no undirected neighbour
 (isolated, or self-loops only) are left out of the system with ``y = 1``.
 
 With ``directed=True`` mass flows along raw arcs and deg(u) is the
-outdegree; the power iteration runs the step above until the L1 change
-drops below ``tolerance``.  Both stop after ``max_iterations``.
+outdegree.  Each directed solve sorts the raw arcs into an in-arc CSR and
+runs the power step above until the L1 change drops below ``tolerance``.
+Both stop after ``max_iterations``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import IO
 import numpy as np
 
 from ._text import Floats, Ints, write_rows
-from .graph import Graph, TopKTable, table_from_scores
+from .graph import Graph, TopKTable, csr_from_arcs, table_from_scores
 from .parallel import block_count, block_ranges, run_blocks
 
 # CG stops, unconverged, once ||r||^2 falls below this: p * q and r * r
@@ -65,12 +66,8 @@ class PageRankVector:
 def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
              max_iterations: int = 100, *, directed: bool = False,
              threads: int = 1) -> PageRankVector:
-    """Rank nodes of the undirected view (default) or the raw directed arcs.
-
-    On the undirected view every edge acts as two arcs, so deg(u) is the
-    undirected degree.  With ``directed=True`` mass flows along raw arcs and
-    deg(u) is the outdegree.
-    """
+    """Rank nodes of the undirected view (default), where every edge acts
+    as two arcs, or of the raw directed arcs (see the module docstring)."""
     if graph.n == 0:
         raise ValueError("pagerank needs a non-empty graph")
     if not 0.0 < damping < 1.0:
@@ -82,7 +79,8 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
 
     if directed:
         # accumulate over in-arcs; each source u spreads score(u)/outdeg(u)
-        spread = _arc_sums(graph.in_offsets, graph.in_neighbors, threads)
+        spread = _arc_sums(*csr_from_arcs(graph.n, graph.targets,
+                                          graph.sources), threads)
         scores, trace, converged = _power(spread, graph.outdegrees, damping,
                                           tolerance, max_iterations)
     else:

@@ -33,11 +33,13 @@ def degree_scan(records):
     return {u: len(nbrs) for u, nbrs in adj.items()}, indeg, outdeg
 
 
-def dense_pagerank(records, damping=0.85, tol=1e-14, max_iterations=100000):
-    """Power iteration on the dense transition matrix of the undirected view.
+def dense_pagerank(records, damping=0.85):
+    """Direct solve of ``(I - d T) x = (1 - d)/n 1`` on the dense transition
+    matrix ``T`` of the undirected view.
 
     Dangling columns teleport uniformly, matching a redistribution of their
-    mass over all nodes.  Returns scores aligned to ascending original ID.
+    mass over all nodes; every column of ``T`` sums to 1, so ``x`` sums to 1.
+    Returns scores aligned to ascending original ID.
     """
     adj = undirected_adjacency(records)
     ids = sorted(adj)
@@ -52,13 +54,8 @@ def dense_pagerank(records, damping=0.85, tol=1e-14, max_iterations=100000):
                 T[index[v], col] = share
         else:
             T[:, col] = 1.0 / n
-    scores = np.full(n, 1.0 / n)
-    for _ in range(max_iterations):
-        new = (1.0 - damping) / n + damping * (T @ scores)
-        if np.abs(new - scores).sum() < tol:
-            return new
-        scores = new
-    return scores
+    return np.linalg.solve(np.eye(n) - damping * T,
+                           np.full(n, (1.0 - damping) / n))
 
 
 def topk_sort(pairs, k):

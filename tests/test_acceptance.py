@@ -98,7 +98,7 @@ def test_criterion_2_pagerank_suite():
             ranks = pagerank(graph_of(records), tolerance=1e-14,
                              max_iterations=20000)
             assert abs(ranks.scores.sum() - 1.0) < 1e-9
-            oracle = dense_pagerank(records, tol=1e-16)
+            oracle = dense_pagerank(records)
             assert np.max(np.abs(ranks.scores - oracle)) <= 1e-10
 
 

@@ -88,7 +88,8 @@ def test_degree_stats_tie_breaks_to_lowest_id(snap_file, tmp_path, capsys):
                       "max_outdegree: node 5 value 3"]
 
 
-@pytest.mark.parametrize("name", ["degrees", "indegrees", "outdegrees"])
+@pytest.mark.parametrize("name", ["degrees", "indegrees", "outdegrees",
+                                  "sources", "targets"])
 def test_degree_arrays_are_read_only(name):
     g = graph_of([(0, 1), (1, 2)])
     with pytest.raises(ValueError, match="read-only"):
@@ -215,6 +216,21 @@ def test_degree_equals_occurrences_in_neighbor_lists():
     g = graph_of(random_records(rng, 30, 120))
     counts = np.bincount(g.undirected_neighbors, minlength=g.n)
     assert np.array_equal(g.degrees, counts)
+
+
+def test_raw_arcs_are_kept_in_file_order():
+    rng = np.random.default_rng(5)
+    # 2^40 IDs are sparse enough to move the node index to its sorted path
+    for max_id, m in [(0, 3), (5, 60), (30, 400), (2**40, 300)]:
+        records = random_records(rng, max_id, m)
+        edges = EdgeList.from_records(records)
+        g = build_graph(edges)
+        assert np.array_equal(g.id_map[g.sources], edges.from_ids)
+        assert np.array_equal(g.id_map[g.targets], edges.to_ids)
+        _, indeg, outdeg = degree_scan(records)
+        ids = g.id_map.tolist()
+        assert g.indegrees.tolist() == [indeg[u] for u in ids]
+        assert g.outdegrees.tolist() == [outdeg[u] for u in ids]
 
 
 def test_csr_from_arcs_matches_lexsort_reference():

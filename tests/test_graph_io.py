@@ -100,6 +100,20 @@ def test_parse_io_failure_carries_source():
         parse_edge_list(Boom("0\t1\n"), "flaky.txt")
 
 
+def test_strict_decode_failure_carries_source(tmp_path):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"0\t1\n\xff\t2\n")
+
+    def scan(fp, name):
+        return list(iter_edge_lines(fp, name))
+
+    for read in (parse_edge_list, scan):
+        with open(path, encoding="utf-8") as fp, \
+                pytest.raises(ValueError, match="reading bad.txt") as err:
+            read(fp, "bad.txt")
+        assert isinstance(err.value.__cause__, UnicodeDecodeError)
+
+
 def test_summarize_hand_counts():
     edges = EdgeList.from_records([(0, 1), (1, 0), (1, 2)])
     s = summarize(edges)

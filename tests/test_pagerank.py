@@ -50,7 +50,7 @@ def test_hundred_random_graphs_match_dense_oracle():
         records = random_records(rng, n - 1, m)
         ranks = pagerank(graph_of(records), tolerance=1e-14,
                          max_iterations=20000)
-        oracle = dense_pagerank(records, tol=1e-16)
+        oracle = dense_pagerank(records)
         worst = max(worst, float(np.max(np.abs(ranks.scores - oracle))))
     assert worst <= 1e-10
 
@@ -171,11 +171,13 @@ def loop_pagerank(graph, damping=0.85, tolerance=1e-10, max_iterations=100):
     """The directed power step as first written (masks, fresh arrays every
     step): the reference the in-place, blocked solver must match bit for
     bit.  Returns the scores and the L1 change of every step."""
-    offsets, neighbors = graph.in_offsets, graph.in_neighbors
-    share_deg = graph.outdegrees.astype(np.float64)
     n = graph.n
+    # in-arcs grouped by target, sources ascending within a target
+    order = np.lexsort((graph.sources, graph.targets))
+    neighbors = graph.sources[order]
+    row_of_arc = np.repeat(np.arange(n), np.bincount(graph.targets, minlength=n))
+    share_deg = np.bincount(graph.sources, minlength=n).astype(np.float64)
     has_links = share_deg > 0
-    row_of_arc = np.repeat(np.arange(n), np.diff(offsets))
     scores = np.full(n, 1.0 / n)
     w = np.zeros(n)
     trace = []

@@ -101,6 +101,23 @@ def test_batches_before_non_utf8_byte_are_emitted(bad_line):
     assert emitted == bad_line - 2
 
 
+def test_rows_before_a_strict_decode_failure_are_emitted(tmp_path):
+    # a text stream opened by the caller decodes strictly; line 5,001 holds
+    # the byte 0xff
+    lines = [f"{i}\t{i + 1}\n".encode() for i in range(6000)]
+    lines[5000] = b"\xff\t3\n"
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"".join(lines))
+    emitted = []
+    with open(path, encoding="utf-8") as fp:
+        with pytest.raises(ValueError, match="reading bad.txt") as err:
+            for chunk in stream_batches(fp, 1, "bad.txt"):
+                emitted += chunk.records
+    assert isinstance(err.value.__cause__, UnicodeDecodeError)
+    assert BLOCK_LINES < len(emitted) <= 5000
+    assert emitted == [(i, i + 1) for i in range(len(emitted))]
+
+
 def test_batches_before_io_failure_are_emitted():
     class FailsAfter(io.StringIO):
         def __init__(self, text, lines):
