@@ -4,7 +4,9 @@ Each raw edge record becomes one point (from_id, to_id).  Lloyd's algorithm
 alternates nearest-centroid assignment (ties to the lowest centroid index)
 with mean updates, and stops when the assignment stabilizes, the objective
 improvement falls below tolerance, or max_iterations is hit.  The objective
-is the within-cluster sum of squared Euclidean distances.
+is the within-cluster sum of squared Euclidean distances.  Passes after the
+first skip most point-centroid distances with Hamerly's bounds and give the
+same bits as full passes.
 """
 
 from __future__ import annotations
@@ -40,6 +42,11 @@ class PointSet:
 
 @dataclass(frozen=True)
 class ClusteringResult:
+    """A k-means solve.  ``distance_evaluations`` counts the point-centroid
+    distances computed: k per point in the first pass, then per pass one per
+    point (to its own centroid) plus k - 1 per point whose bounds failed; at
+    most k * t per pass."""
+
     centroids: np.ndarray
     assignment: np.ndarray
     cluster_sizes: np.ndarray
@@ -72,8 +79,13 @@ class ClusteringResult:
 
 
 def edges_to_points(edges: EdgeList) -> PointSet:
-    """One point per raw edge record: (from_id, to_id), file order preserved."""
-    xy = np.column_stack([edges.from_ids, edges.to_ids]).astype(np.float64)
+    """One point per raw edge record: (from_id, to_id), file order preserved.
+
+    The array is stored column by column, so k-means reads each coordinate
+    as one contiguous run."""
+    xy = np.empty((edges.line_count, 2), order="F")
+    xy[:, 0] = edges.from_ids
+    xy[:, 1] = edges.to_ids
     return PointSet(xy=xy)
 
 
@@ -120,7 +132,8 @@ def kmeans_init(points: PointSet, k: int, method: str = "kmeans++",
 
     centroids = np.empty((k, 2))
     centroids[0] = xy[rng.integers(t)]
-    d2 = _sq_dist_to(xy, centroids[0])
+    x, y = xy[:, 0], xy[:, 1]
+    d2 = _sq_dist_to(x, y, centroids[0])
     for i in range(1, k):
         total = float(d2.sum())
         if total <= 0.0:
@@ -128,72 +141,153 @@ def kmeans_init(points: PointSet, k: int, method: str = "kmeans++",
                 f"kmeans++ needs {k} distinct points, only {i} available")
         idx = rng.choice(t, p=d2 / total)
         centroids[i] = xy[idx]
-        np.minimum(d2, _sq_dist_to(xy, centroids[i]), out=d2)
+        np.minimum(d2, _sq_dist_to(x, y, centroids[i]), out=d2)
     return centroids
 
 
-def _sq_dist_to(xy: np.ndarray, c: np.ndarray, out: np.ndarray | None = None,
+def _sq_dist_to(x: np.ndarray, y: np.ndarray, c: np.ndarray,
+                out: np.ndarray | None = None,
                 tmp: np.ndarray | None = None) -> np.ndarray:
     """(x - cx)**2 + (y - cy)**2 per point, into ``out`` and ``tmp`` when
     given."""
-    out = np.square(np.subtract(xy[:, 0], c[0], out=out), out=out)
-    tmp = np.square(np.subtract(xy[:, 1], c[1], out=tmp), out=tmp)
+    out = np.square(np.subtract(x, c[0], out=out), out=out)
+    tmp = np.square(np.subtract(y, c[1], out=tmp), out=tmp)
     return np.add(out, tmp, out=out)
+
+
+# Every bound is kept this much below its true value: _MARGIN times the
+# largest coordinate magnitude, plus _FLOOR.  Each distance, drift or bound
+# update rounds by a few units of 2**-53 of a length below 4x that magnitude
+# (centroids are means of points), so the margin covers them 2**7 times
+# over; the floor keeps every trusted bound far above the subnormal range.
+# Below _LARGEST no squared distance overflows.
+_MARGIN = 2.0 ** -40
+_FLOOR = 2.0 ** -400
+_LARGEST = 2.0 ** 500
+# points whose bounds failed are searched this many at a time
+_CHUNK = 1 << 12
 
 
 def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
            max_iterations: int = 300, tolerance: float = 1e-6,
            threads: int = 1) -> ClusteringResult:
-    """Lloyd's loop from a seeded initialization.
+    """Lloyd's loop from a seeded initialization, with Hamerly's bounds.
 
     Termination: assignment unchanged (converged at a fixed point), objective
     improvement below tolerance, or max_iterations assignment passes.  A
     cluster that empties is re-seeded to the point farthest from its assigned
-    centroid.  ``distance_evaluations`` counts point-to-centroid evaluations
-    in assignment passes, exactly k * t per pass.
+    centroid.
+
+    Passes after the first skip most distances with the bounds of Hamerly
+    2010 ("Making k-means even faster", SDM): each point keeps a lower bound
+    on its distance to every centroid but its own, lowered after each update
+    by the largest centroid drift, and each centroid keeps half the distance
+    to its nearest other centroid.  A pass computes every point's distance to
+    its own centroid, with the operations of a full pass; only a point whose
+    distance is not strictly below the larger of its two bounds gets the
+    other k - 1 distances, with ties to the lowest centroid index.  The
+    bounds are held below their true values by a margin that covers every
+    rounding error, so labels, centroids, ``objective_trace``,
+    ``iterations_run`` and ``converged`` are those of plain Lloyd passes,
+    bit for bit, at any thread count.
+
+    The margin is 2**-40 of the largest coordinate magnitude.  So points
+    whose spread is that small against their distance from the origin (node
+    IDs near 2**63) never skip, and each pass costs k * t as in plain Lloyd;
+    so do coordinates beyond 2**500.  Coordinates must be finite.
+
+    ``distance_evaluations`` counts the point-to-centroid distances
+    computed: k per point in the first pass; in each later pass one per
+    point plus k - 1 per point whose bounds failed.  So it is at most
+    k * t per pass.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
     if not tolerance >= 0:  # also refuses nan
         raise ValueError(f"tolerance must be >= 0, got {tolerance}")
-    centroids = kmeans_init(points, k, method=init, seed=seed)
-
     xy = points.xy
     t = points.t
+    x = np.ascontiguousarray(xy[:, 0])
+    y = np.ascontiguousarray(xy[:, 1])
+    ends = [x.min(), x.max(), y.min(), y.max()] if t else [0.0]
+    scale = float(np.max(np.abs(ends)))
+    if not np.isfinite(scale):
+        raise ValueError("k-means needs finite coordinates")
+    centroids = kmeans_init(points, k, method=init, seed=seed)
     labels = np.empty(t, dtype=np.int64)
-    mind2 = np.empty(t)
-    # each block owns its scratch for the whole solve, so a pass allocates
-    # nothing (freed per-pass temporaries stay in each worker's malloc arena)
-    blocks = [(a, b, np.empty(b - a), np.empty(b - a), np.empty(b - a, dtype=bool))
+    # one block of memory for the solve's float arrays: the allocator gives
+    # it back whole at the end, which keeps the CLI's peak RSS at the level
+    # of plain Lloyd (three separate arrays measured 0.5-1 MB above it)
+    mind2, lower, scratch = np.empty((3, t))
+    # each block owns its scratch for the whole solve, so a later pass
+    # allocates nothing t-sized (freed per-pass temporaries stay in each
+    # worker's malloc arena)
+    blocks = [(x[a:b], y[a:b], labels[a:b], mind2[a:b], lower[a:b],
+               scratch[a:b], np.empty(b - a, dtype=bool))
               for a, b in block_ranges(t, block_count("kmeans", k * t, threads))]
+    # past _LARGEST no bound holds, and every point is redone
+    eta = _MARGIN * scale + _FLOOR if scale <= _LARGEST else np.inf
+    half_gap = None
+    drift = 0.0
 
-    def assign(a: int, b: int, d2: np.ndarray, tmp: np.ndarray,
-               closer: np.ndarray) -> None:
+    def full_pass(x, y, label, best, second, tmp, closer):
         # running minimum over the centroids; strict < keeps ties at the
-        # lowest index, as argmin does
-        block = xy[a:b]
-        best, label = mind2[a:b], labels[a:b]
-        _sq_dist_to(block, centroids[0], best, tmp)
+        # lowest index, as argmin does.  ``second`` ends as the distance to
+        # the nearest other centroid, the point's first lower bound.
+        d2 = np.empty(x.size)
+        _sq_dist_to(x, y, centroids[0], best, tmp)
         label[:] = 0
+        second.fill(np.inf)
         for i in range(1, k):
-            _sq_dist_to(block, centroids[i], d2, tmp)
+            _sq_dist_to(x, y, centroids[i], d2, tmp)
             np.less(d2, best, out=closer)
+            np.minimum(second, d2, out=second)
+            np.copyto(second, best, where=closer)
             np.copyto(best, d2, where=closer)
             np.copyto(label, i, where=closer)
+        np.subtract(np.sqrt(second, out=second), eta, out=second)
+        return True, x.size
+
+    def bounded_pass(x, y, label, best, lower, tmp, keep):
+        # the own-centroid distance with _sq_dist_to's operations, so a
+        # skipped point's mind2 has the bits a full pass would give it
+        np.take(centroids[:, 0], label, out=best, mode="clip")
+        np.square(np.subtract(x, best, out=best), out=best)
+        np.take(centroids[:, 1], label, out=tmp, mode="clip")
+        np.square(np.subtract(y, tmp, out=tmp), out=tmp)
+        np.add(best, tmp, out=best)
+        np.subtract(lower, drift, out=lower)
+        np.take(half_gap, label, out=tmp, mode="clip")
+        np.square(np.maximum(tmp, lower, out=tmp), out=tmp)
+        np.less(best, tmp, out=keep)
+        redo = np.flatnonzero(np.logical_not(keep, out=keep))
+        moved = False
+        # in chunks, so the temporaries stay small in the early passes,
+        # where many points redo
+        for a in range(0, redo.size, _CHUNK):
+            rows = redo[a:a + _CHUNK]
+            was = label[rows]
+            nearest, near, second = _nearest_other(
+                x[rows], y[rows], centroids, was, best[rows])
+            moved |= bool((nearest != was).any())
+            label[rows] = nearest
+            best[rows] = near
+            lower[rows] = np.sqrt(second) - eta
+        return moved, redo.size
 
     evaluations = 0
     trace: list[float] = []
-    prev_labels = None
     prev_obj = None
     converged = False
     iterations = 0
+    step = full_pass
     while iterations < max_iterations:
-        run_blocks(assign, blocks, threads)
-        evaluations += k * t
+        passes = run_blocks(step, blocks, threads)
+        evaluations += t + (k - 1) * sum(redone for _, redone in passes)
         iterations += 1
         obj = float(mind2.sum())
         trace.append(obj)
-        if prev_labels is not None and np.array_equal(labels, prev_labels):
+        if not any(moved for moved, _ in passes):
             converged = True
             break
         if prev_obj is not None and prev_obj - obj < tolerance:
@@ -201,9 +295,12 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
             break
         if iterations == max_iterations:
             break
-        centroids = _update_centroids(xy, labels, mind2, k)
-        prev_labels = labels.copy()
+        updated = _update_centroids(xy, labels, mind2, k)
+        drift = float(np.hypot(*(updated - centroids).T).max()) + eta
+        centroids = updated
+        half_gap = _half_gaps(centroids, eta)
         prev_obj = obj
+        step = bounded_pass
 
     return ClusteringResult(
         centroids=centroids,
@@ -215,6 +312,37 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         distance_evaluations=evaluations,
         objective_trace=tuple(trace),
     )
+
+
+def _nearest_other(x: np.ndarray, y: np.ndarray, centroids: np.ndarray,
+                   was: np.ndarray, near: np.ndarray):
+    """Nearest centroid (ties to the lowest index), its squared distance and
+    the second-smallest squared distance of points whose squared distance
+    ``near`` to centroid ``was`` is known, from the other k - 1 distances."""
+    nearest = was.copy()
+    second = np.full(was.size, np.inf)
+    for i, c in enumerate(centroids):
+        rows = np.flatnonzero(was != i)
+        d2 = _sq_dist_to(x[rows], y[rows], c)
+        b, j = near[rows], nearest[rows]
+        # a tie goes to i only over a higher index: the known centroid when
+        # it is above i, never a centroid taken before i
+        closer = (d2 < b) | ((d2 == b) & (j > i))
+        second[rows] = np.where(closer, b, np.minimum(second[rows], d2))
+        near[rows] = np.where(closer, d2, b)
+        nearest[rows] = np.where(closer, i, j)
+    return nearest, near, second
+
+
+def _half_gaps(centroids: np.ndarray, eta: float) -> np.ndarray:
+    """Half the distance from each centroid to its nearest other one, less
+    ``eta`` and at least 0; +inf when there is no other centroid."""
+    gaps = np.empty(centroids.shape[0])
+    for j, c in enumerate(centroids):
+        d = np.hypot(*(centroids - c).T)
+        d[j] = np.inf
+        gaps[j] = d.min()
+    return np.maximum(0.5 * gaps - eta, 0.0)
 
 
 def _update_centroids(xy: np.ndarray, labels: np.ndarray, mind2: np.ndarray,

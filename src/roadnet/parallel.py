@@ -13,11 +13,12 @@ were measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
 ``np.bincount``; measured on the power step) ran 2.5-4x slower in 2
 blocks at 0.19M arcs, broke even between 1.0M and 1.4M arcs, and was
 faster from there up (1.3x at 3.1M; ``np.bincount`` holds the GIL, the
-gather does not).  k-means (units: point-centroid distances per pass, k * t) was
-measured in fresh processes with one solve each, as the CLI runs it: 2
-blocks ran 0.52-0.88x as fast at 0.12-0.34M, 0.75-0.90x at 0.49M,
-0.99-1.02x at 0.67M, 1.12-1.23x at 0.82-0.98M and 1.08-1.17x at
-1.4-2.0M, so the split starts at 0.7M.
+gather does not).  k-means (units: k * t, the distances of a full pass;
+with Hamerly's bounds a later pass computes about t) was measured in fresh
+processes with one solve each, as the CLI runs it, k = 3, median of 5-7
+alternated pairs: 2 blocks ran 0.75-0.93x as fast at 0.12-0.50M, 0.98x at
+0.66-0.81M, 1.00x at 0.92M and 1.08-1.18x at 1.0-2.0M, so the split
+starts at 1.0M.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 _ENV_THREADS = "ROADNET_THREADS"
-MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 350_000}
+MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 500_000}
 
 
 def resolve_threads(threads: int | None = None) -> int:
@@ -70,11 +71,9 @@ def _pool(threads: int) -> ThreadPoolExecutor:
     return ThreadPoolExecutor(max_workers=threads)
 
 
-def run_blocks(fn, blocks, threads: int) -> None:
-    """Run fn(*block) over blocks; fn writes disjoint output slices."""
+def run_blocks(fn, blocks, threads: int) -> list:
+    """Run fn(*block) over blocks, where fn writes disjoint output slices;
+    returns fn's results in block order."""
     if threads <= 1 or len(blocks) <= 1:
-        for block in blocks:
-            fn(*block)
-        return
-    for _ in _pool(threads).map(lambda block: fn(*block), blocks):
-        pass
+        return [fn(*block) for block in blocks]
+    return list(_pool(threads).map(lambda block: fn(*block), blocks))

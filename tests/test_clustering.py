@@ -30,6 +30,7 @@ def test_edges_to_points_maps_records():
     points = edges_to_points(EdgeList.from_records([(0, 1), (1, 0)]))
     assert points.t == 2
     assert points.xy.tolist() == [[0.0, 1.0], [1.0, 0.0]]
+    assert points.xy.flags.f_contiguous  # k-means reads the columns in place
 
 
 def test_edges_to_points_empty():
@@ -167,11 +168,23 @@ def test_best_of_20_restarts_hits_exhaustive_optimum():
 
 
 def test_distance_evaluation_budget():
+    # three tight blobs far apart, one seed in each: after the first pass
+    # every point's bounds hold, so each later pass costs one distance per
+    # point (its own centroid) and the first pass costs k per point
     rng = np.random.default_rng(12)
+    centers = np.array([(0.0, 0.0), (1000.0, 0.0), (0.0, 1000.0)])
+    xy = centers[np.arange(300) % 3] + rng.uniform(-5, 5, size=(300, 2))
+    result = kmeans(pset(xy), 3, init="first-k", tolerance=0.0)
+    s = result.iterations_run
+    assert result.converged and s >= 2
+    assert result.distance_evaluations == 3 * 300 + 300 * (s - 1)
+    assert result.distance_evaluations <= 3 * 300 * s
+
     points = pset(rng.uniform(0, 50, size=(200, 2)))
     result = kmeans(points, 4, seed=5)
     s = result.iterations_run
-    assert result.distance_evaluations == 4 * 200 * s
+    assert s > 2
+    assert 4 * 200 + 200 * (s - 1) < result.distance_evaluations
     assert result.distance_evaluations <= 4 * 200 * s
 
 
@@ -246,12 +259,13 @@ def test_partition_oracle_agrees_with_wcss():
         wcss(xy.tolist(), means, labels.tolist()), rel=1e-12)
 
 
-def matrix_kmeans(points, k, seed, tolerance, max_iterations=300):
+def matrix_kmeans(points, k, seed, tolerance, max_iterations=300,
+                  init="kmeans++"):
     """Lloyd's loop as first written: a (t, k) distance matrix reduced by
-    argmin and min on every pass.  The reference the running-minimum,
-    blocked solver must match bit for bit."""
+    argmin and min on every pass.  The reference the bound-gated, blocked
+    solver must match bit for bit."""
     xy = points.xy
-    centroids = kmeans_init(points, k, method="kmeans++", seed=seed)
+    centroids = kmeans_init(points, k, method=init, seed=seed)
     trace = []
     prev_labels = prev_obj = None
     converged = False
@@ -287,7 +301,7 @@ def kmeans_blocks(monkeypatch):
 
     def run_blocks(fn, blocks, threads):
         counts.append(len(blocks))
-        parallel.run_blocks(fn, blocks, threads)
+        return parallel.run_blocks(fn, blocks, threads)
 
     monkeypatch.setattr(sys.modules["roadnet.clustering"], "run_blocks",
                         run_blocks)
@@ -302,6 +316,7 @@ def test_kmeans_split_into_blocks_is_bit_identical(kmeans_blocks, monkeypatch):
     labels, centroids, trace, iterations, converged = matrix_kmeans(
         points, 5, seed=3, tolerance=0.0)
     assert iterations > 2
+    evaluations = set()
     for threads in (1, 2, 3, 7):
         kmeans_blocks.clear()
         result = kmeans(points, 5, seed=3, tolerance=0.0, threads=threads)
@@ -311,7 +326,81 @@ def test_kmeans_split_into_blocks_is_bit_identical(kmeans_blocks, monkeypatch):
         assert result.objective_trace == trace
         assert result.iterations_run == iterations
         assert result.converged == converged
-        assert result.distance_evaluations == 5 * 500 * iterations
+        evaluations.add(result.distance_evaluations)
+    assert len(evaluations) == 1
+    assert 5 * 500 + 500 * (iterations - 1) < evaluations.pop() \
+        <= 5 * 500 * iterations
+
+
+def _bound_stress_cases():
+    rng = np.random.default_rng(3)
+    far = 500 + rng.integers(0, 3, size=(6, 2))
+    reseed = np.vstack([[(0, 0), (0, 0)], rng.integers(0, 20, size=(60, 2)),
+                        far])
+    return {
+        # first-k on duplicates: two centroids coincide for the whole solve,
+        # so half the gap between them is 0 and their points always redo
+        "coincident": ([(1, 1), (1, 1), (5, 5)], 3, "first-k",
+                       [2, 0, 1]),
+        # cluster 1 starts on top of cluster 0 and is empty; it is re-seeded
+        # to a far point (a drift of about 700) in passes 1 and 2
+        "reseed": (reseed, 3, "first-k", [33, 6, 29]),
+        # (2, 0) is nearer centroid 1 in pass 1, then exactly as near to
+        # centroid 0, which takes it in pass 2
+        "bisector": ([(0, 0), (3, 0), (-1, 0), (1, 0), (2, 0), (7, 0)], 2,
+                     "first-k", [4, 2]),
+        # the same along (0.1, 0.9): the tie is still exact, but the bounds
+        # round up past the point's distance, and without the rounding
+        # margin (2, 0)'s image would stay on centroid 1
+        "bisector_rounded": (np.outer([0, 3, -1, 1, 2, 7], [0.1, 0.9]),
+                             2, "first-k", [4, 2]),
+        # one centroid: no other centroid bounds anything, every pass skips
+        "k=1": (rng.integers(0, 9, size=(40, 2)), 1, "kmeans++", [40]),
+        "k=t": (rng.permutation(12).reshape(6, 2), 6, "kmeans++", [1] * 6),
+        # coordinates past 2**500: no bound is trusted, every point redoes
+        "huge": (reseed * 2.0 ** 495, 3, "first-k", [33, 6, 29]),
+        # 47 passes to a fixed point
+        "long": (rng.uniform(0, 100, size=(2000, 2)), 10, "kmeans++", None),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2, 7])
+@pytest.mark.parametrize("case", sorted(_bound_stress_cases()))
+def test_bounded_passes_match_lloyd_bit_for_bit(case, threads, kmeans_blocks,
+                                                monkeypatch):
+    from roadnet import parallel
+    xy, k, init, sizes = _bound_stress_cases()[case]
+    points = pset(xy)
+    seed = 7 if case == "long" else 4
+    labels, centroids, trace, iterations, converged = matrix_kmeans(
+        points, k, seed=seed, tolerance=0.0, init=init)
+    one_block = kmeans(points, k, init=init, seed=seed, tolerance=0.0)
+    monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
+    kmeans_blocks.clear()
+    result = kmeans(points, k, init=init, seed=seed, tolerance=0.0,
+                    threads=threads)
+    assert set(kmeans_blocks) == {min(threads, points.t)}
+    assert np.array_equal(result.assignment, labels)
+    assert np.array_equal(result.centroids, centroids)
+    assert result.objective_trace == trace
+    assert result.iterations_run == iterations
+    assert result.converged == converged
+    assert result.distance_evaluations == one_block.distance_evaluations \
+        <= k * points.t * iterations
+    if sizes is not None:
+        assert result.cluster_sizes.tolist() == sizes
+    if case == "long":
+        assert iterations == 47
+    if case == "huge":
+        assert result.distance_evaluations == k * points.t * iterations
+
+
+def test_kmeans_refuses_non_finite_points():
+    for bad in (np.nan, np.inf, -np.inf):
+        xy = np.arange(12.0).reshape(6, 2)
+        xy[4, 1] = bad
+        with pytest.raises(ValueError, match="finite"):
+            kmeans(pset(xy), 2, init="first-k")
 
 
 def test_kmeans_never_splits_past_the_thread_count(kmeans_blocks):
