@@ -11,8 +11,8 @@ its wall time and the process high-water RSS after it:
 
     load_edge_list, build_graph, pagerank (tol 1e-10), pagerank.csv,
     pagerank --directed (30 power steps), kmeans (k 3, 20 passes),
-    kmeans to convergence (the CLI's defaults; 88 passes), kmeans_points.csv,
-    run_stream (batch 2,500)
+    kmeans to convergence (the CLI's defaults; 88 passes), kmeans (k 12,
+    40 passes), kmeans_points.csv, run_stream (batch 2,500)
 
 After the converged solve it prints its pass count and the distances it
 computed per point per pass.
@@ -97,6 +97,8 @@ def main() -> int:
             points.t * result.iterations_run)
         print(f"{'':<20} {result.iterations_run} passes, "
               f"{per_point_pass:.3f} distances per point per pass", flush=True)
+        with stage("kmeans k 12"):
+            kmeans(points, 12, max_iterations=40, threads=args.threads)
         with stage("kmeans_points.csv"), \
                 open(work / "kmeans_points.csv", "w", encoding="utf-8") as fp:
             result.to_csv(fp, points)

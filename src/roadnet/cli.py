@@ -168,7 +168,9 @@ def _cmd_pagerank(args: argparse.Namespace) -> None:
     ranks = pagerank(graph, damping=args.damping, tolerance=args.tol,
                      max_iterations=args.max_iter, directed=args.directed,
                      threads=args.threads)
-    _warn_unconverged(ranks, args.input, args.directed)
+    if not ranks.converged:
+        _warn_unconverged(args.input,
+                          f", after {_solver_end(ranks, args.directed)}")
     with open(args.out / "pagerank.csv", "w", encoding="utf-8") as fp:
         ranks.to_csv(fp, graph)
     table = top_k_pagerank(ranks, graph, args.top)
@@ -197,7 +199,8 @@ def _topk_table(path: Path, args: argparse.Namespace):
     graph = build_graph(load_edge_list(path))
     if args.by == "pagerank":
         ranks = pagerank(graph, threads=args.threads)
-        _warn_unconverged(ranks, path, directed=False)
+        if not ranks.converged:
+            _warn_unconverged(path, f", after {_solver_end(ranks, False)}")
         return top_k_pagerank(ranks, graph, args.top)
     return top_k_by_degree(graph, args.top)
 
@@ -211,11 +214,9 @@ def _solver_end(ranks, directed: bool) -> str:
             f"({label}={ranks.final_delta:.3e})")
 
 
-def _warn_unconverged(ranks, path: Path, directed: bool) -> None:
-    if not ranks.converged:
-        print(f"roadnet: warning: {path}: pagerank stopped at the iteration "
-              f"limit before converging, after "
-              f"{_solver_end(ranks, directed)}", file=sys.stderr)
+def _warn_unconverged(path: Path, detail: str) -> None:
+    print(f"roadnet: warning: {path}: pagerank stopped at the iteration "
+          f"limit before converging{detail}", file=sys.stderr)
 
 
 def _cmd_kmeans(args: argparse.Namespace) -> None:
@@ -263,9 +264,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
             count += 1
             unconverged += item.pagerank_converged is False
     if unconverged:
-        print(f"roadnet: warning: {args.input}: pagerank stopped at the "
-              f"iteration limit before converging in {unconverged} of "
-              f"{count} batches", file=sys.stderr)
+        _warn_unconverged(args.input, f" in {unconverged} of {count} batches")
     if last is None:
         print("stream: no data lines")
     else:

@@ -1,12 +1,12 @@
 """k-means over the 2D edge-scatter cloud: Lloyd's loop, k-means++ seeding.
 
 Each raw edge record becomes one point (from_id, to_id).  Lloyd's algorithm
-alternates nearest-centroid assignment (ties to the lowest centroid index)
-with mean updates, and stops when the assignment stabilizes, the objective
-improvement falls below tolerance, or max_iterations is hit.  The objective
-is the within-cluster sum of squared Euclidean distances.  Passes after the
-first skip most point-centroid distances with Hamerly's bounds and give the
-same bits as full passes.
+alternates nearest-centroid assignment with mean updates, and stops when the
+assignment stabilizes, the objective improvement falls below tolerance, or
+max_iterations is hit.  The objective is the within-cluster sum of squared
+Euclidean distances.  One kernel finds nearest centroids, with ties to the
+lowest index; passes after the first run it only where Hamerly's bounds
+fail, and give the same bits as full passes.
 """
 
 from __future__ import annotations
@@ -145,11 +145,11 @@ def kmeans_init(points: PointSet, k: int, method: str = "kmeans++",
     return centroids
 
 
-def _sq_dist_to(x: np.ndarray, y: np.ndarray, c: np.ndarray,
+def _sq_dist_to(x: np.ndarray, y: np.ndarray, c,
                 out: np.ndarray | None = None,
                 tmp: np.ndarray | None = None) -> np.ndarray:
     """(x - cx)**2 + (y - cy)**2 per point, into ``out`` and ``tmp`` when
-    given."""
+    given; cx and cy may be per-point arrays, even ``out`` and ``tmp``."""
     out = np.square(np.subtract(x, c[0], out=out), out=out)
     tmp = np.square(np.subtract(y, c[1], out=tmp), out=tmp)
     return np.add(out, tmp, out=out)
@@ -185,11 +185,12 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     to its nearest other centroid.  A pass computes every point's distance to
     its own centroid, with the operations of a full pass; only a point whose
     distance is not strictly below the larger of its two bounds gets the
-    other k - 1 distances, with ties to the lowest centroid index.  The
-    bounds are held below their true values by a margin that covers every
-    rounding error, so labels, centroids, ``objective_trace``,
-    ``iterations_run`` and ``converged`` are those of plain Lloyd passes,
-    bit for bit, at any thread count.
+    other k - 1 distances.  Both kinds of pass search with ``_nearest``,
+    whose strict < over the centroids in index order sends ties to the
+    lowest index.  The bounds are held below their true values by a margin
+    that covers every rounding error, so labels, centroids,
+    ``objective_trace``, ``iterations_run`` and ``converged`` are those of
+    plain Lloyd passes, bit for bit, at any thread count.
 
     The margin is 2**-40 of the largest coordinate magnitude.  So points
     whose spread is that small against their distance from the origin (node
@@ -231,49 +232,40 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     drift = 0.0
 
     def full_pass(x, y, label, best, second, tmp, closer):
-        # running minimum over the centroids; strict < keeps ties at the
-        # lowest index, as argmin does.  ``second`` ends as the distance to
-        # the nearest other centroid, the point's first lower bound.
-        d2 = np.empty(x.size)
-        _sq_dist_to(x, y, centroids[0], best, tmp)
-        label[:] = 0
-        second.fill(np.inf)
-        for i in range(1, k):
-            _sq_dist_to(x, y, centroids[i], d2, tmp)
-            np.less(d2, best, out=closer)
-            np.minimum(second, d2, out=second)
-            np.copyto(second, best, where=closer)
-            np.copyto(best, d2, where=closer)
-            np.copyto(label, i, where=closer)
+        # ``second`` is the point's first lower bound
+        _nearest(x, y, centroids, label, best, second, tmp, closer)
         np.subtract(np.sqrt(second, out=second), eta, out=second)
         return True, x.size
 
     def bounded_pass(x, y, label, best, lower, tmp, keep):
-        # the own-centroid distance with _sq_dist_to's operations, so a
-        # skipped point's mind2 has the bits a full pass would give it
+        # the own-centroid distance by _sq_dist_to, so a skipped point's
+        # mind2 has the bits a full pass would give it
         np.take(centroids[:, 0], label, out=best, mode="clip")
-        np.square(np.subtract(x, best, out=best), out=best)
         np.take(centroids[:, 1], label, out=tmp, mode="clip")
-        np.square(np.subtract(y, tmp, out=tmp), out=tmp)
-        np.add(best, tmp, out=best)
+        _sq_dist_to(x, y, (best, tmp), best, tmp)
         np.subtract(lower, drift, out=lower)
         np.take(half_gap, label, out=tmp, mode="clip")
         np.square(np.maximum(tmp, lower, out=tmp), out=tmp)
         np.less(best, tmp, out=keep)
         redo = np.flatnonzero(np.logical_not(keep, out=keep))
-        moved = False
-        # in chunks, so the temporaries stay small in the early passes,
-        # where many points redo
-        for a in range(0, redo.size, _CHUNK):
-            rows = redo[a:a + _CHUNK]
-            was = label[rows]
-            nearest, near, second = _nearest_other(
-                x[rows], y[rows], centroids, was, best[rows])
-            moved |= bool((nearest != was).any())
-            label[rows] = nearest
-            best[rows] = near
-            lower[rows] = np.sqrt(second) - eta
-        return moved, redo.size
+        # grouped by own centroid, whose distance is known and not computed
+        # again; the stable sort keeps each group in index order, for memory
+        # locality.  In chunks, so the temporaries stay small in the early
+        # passes, where many points redo
+        redo = redo[np.argsort(label[redo], kind="stable")]
+        was = label[redo]
+        ends = np.searchsorted(was, np.arange(k + 1)).tolist()
+        for j in range(k):
+            for a in range(ends[j], ends[j + 1], _CHUNK):
+                rows = redo[a:min(a + _CHUNK, ends[j + 1])]
+                nearest = np.empty(rows.size, dtype=np.int64)
+                near, second = np.empty((2, rows.size))
+                _nearest(x[rows], y[rows], centroids, nearest, near, second,
+                         tmp[:rows.size], keep[:rows.size], j, best[rows])
+                label[rows] = nearest
+                best[rows] = near
+                lower[rows] = np.sqrt(second) - eta
+        return bool((label[redo] != was).any()), redo.size
 
     evaluations = 0
     trace: list[float] = []
@@ -314,24 +306,27 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     )
 
 
-def _nearest_other(x: np.ndarray, y: np.ndarray, centroids: np.ndarray,
-                   was: np.ndarray, near: np.ndarray):
-    """Nearest centroid (ties to the lowest index), its squared distance and
-    the second-smallest squared distance of points whose squared distance
-    ``near`` to centroid ``was`` is known, from the other k - 1 distances."""
-    nearest = was.copy()
-    second = np.full(was.size, np.inf)
-    for i, c in enumerate(centroids):
-        rows = np.flatnonzero(was != i)
-        d2 = _sq_dist_to(x[rows], y[rows], c)
-        b, j = near[rows], nearest[rows]
-        # a tie goes to i only over a higher index: the known centroid when
-        # it is above i, never a centroid taken before i
-        closer = (d2 < b) | ((d2 == b) & (j > i))
-        second[rows] = np.where(closer, b, np.minimum(second[rows], d2))
-        near[rows] = np.where(closer, d2, b)
-        nearest[rows] = np.where(closer, i, j)
-    return nearest, near, second
+def _nearest(x: np.ndarray, y: np.ndarray, centroids: np.ndarray, label,
+             best, second, tmp, closer, own: int = -1, known=None) -> None:
+    """Each point's nearest centroid, its squared distance and its least
+    squared distance to any other centroid, into ``label``, ``best`` and
+    ``second``: a running minimum over the centroids in index order, whose
+    strict < keeps ties at the lowest index.  Distances to centroid ``own``
+    are ``known``, not computed; ``tmp``, ``closer`` are scratch."""
+    if own == 0:
+        np.copyto(best, known)
+    else:
+        _sq_dist_to(x, y, centroids[0], best, tmp)
+    label.fill(0)
+    second.fill(np.inf)
+    d2 = np.empty(x.size)
+    for i in range(1, centroids.shape[0]):
+        d = known if i == own else _sq_dist_to(x, y, centroids[i], d2, tmp)
+        np.less(d, best, out=closer)
+        np.minimum(second, d, out=second)
+        np.copyto(second, best, where=closer)
+        np.copyto(best, d, where=closer)
+        np.copyto(label, i, where=closer)
 
 
 def _half_gaps(centroids: np.ndarray, eta: float) -> np.ndarray:

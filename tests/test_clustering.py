@@ -354,6 +354,17 @@ def _bound_stress_cases():
         # margin (2, 0)'s image would stay on centroid 1
         "bisector_rounded": (np.outer([0, 3, -1, 1, 2, 7], [0.1, 0.9]),
                              2, "first-k", [4, 2]),
+        # in pass 2, (0, 2) is exactly as near to centroid 0 as to its own
+        # centroid 1 and moves to 0; (-2, 0) and (3, -1) are exactly as near
+        # to centroids 2 and 1 as to their own centroid 0 and stay
+        "ties_both_ways": ([(-1, -2), (0, 2), (-4, 1), (-2, 0), (6, 2),
+                            (3, -1)], 3, "first-k", [4, 1, 1]),
+        # 16 sites, 12 centroids: in pass 2, 8 points tied with a lower
+        # centroid move and 8 tied with a higher one stay; passes 2-5 search
+        # 2-5 of the 12 own-centroid groups, the rest are empty
+        "ties_k=12": (np.random.default_rng(21).integers(0, 4, size=(150, 2)),
+                      12, "first-k",
+                      [18, 26, 16, 7, 10, 14, 4, 24, 8, 9, 9, 5]),
         # one centroid: no other centroid bounds anything, every pass skips
         "k=1": (rng.integers(0, 9, size=(40, 2)), 1, "kmeans++", [40]),
         "k=t": (rng.permutation(12).reshape(6, 2), 6, "kmeans++", [1] * 6),
