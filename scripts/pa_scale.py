@@ -9,10 +9,12 @@ in a temporary directory, in a child process so that the high-water RSS is
 the stages' own.  Then it prints one line per stage, each run once, with
 its wall time and the process high-water RSS after it:
 
-    load_edge_list, build_graph, pagerank (tol 1e-10), pagerank.csv,
-    pagerank --directed (30 power steps), kmeans (k 3, 20 passes),
-    kmeans to convergence (the CLI's defaults; 88 passes), kmeans (k 12,
-    40 passes), kmeans_points.csv, run_stream (batch 2,500)
+    load_edge_list, summarize, build_graph, pagerank (tol 1e-10),
+    pagerank.csv, pagerank --directed (30 power steps), kmeans (k 3,
+    20 passes), kmeans to convergence (the CLI's defaults; 88 passes),
+    kmeans (k 12, 40 passes), kmeans_points.csv, clusters svg (the CLI's
+    render_clusters: a sample of 100,000 points, seed 42), run_stream
+    (batch 2,500)
 
 After the converged solve it prints its pass count and the distances it
 computed per point per pass.
@@ -35,8 +37,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
 from gen import make_grid, write_grid  # noqa: E402
-from roadnet import (build_graph, edges_to_points, kmeans,  # noqa: E402
-                     load_edge_list, pagerank, run_stream)
+from roadnet import (ScatterSpec, build_graph, edges_to_points,  # noqa: E402
+                     kmeans, load_edge_list, pagerank, render_clusters,
+                     run_stream, summarize)
 
 SIDE = 1044  # grid side whose node count matches roadNet-PA
 
@@ -76,6 +79,8 @@ def main() -> int:
             pool.submit(write_pa_grid, path).result()
         with stage("load_edge_list"):
             edges = load_edge_list(path)
+        with stage("summarize"):
+            summarize(edges)
         with stage("build_graph"):
             graph = build_graph(edges)
         with stage("pagerank"):
@@ -102,6 +107,10 @@ def main() -> int:
         with stage("kmeans_points.csv"), \
                 open(work / "kmeans_points.csv", "w", encoding="utf-8") as fp:
             result.to_csv(fp, points)
+        with stage("clusters svg"):
+            spec = ScatterSpec(points=points, sample_size=100_000, seed=42,
+                               title="k-means communities (k=3)")
+            render_clusters(result, points, spec, work / "clusters_k3.svg")
         del edges, points, result
         with stage("run_stream"), open(path, "rb") as reader:
             for _ in run_stream(reader, 2500, k=10, source_name=str(path)):

@@ -3,15 +3,17 @@
 A row template is a sequence of parts, each one field of every row:
 
 - ``str``: literal text, the same in every row;
-- ``Ints``: non-negative integers in decimal, zero-padded to ``width``;
+- ``Ints``: non-negative integers in decimal;
 - ``Floats``: floats as ``repr`` writes them;
+- ``Fixed2``: floats in [0, 1e7) as ``f"{v:.2f}"`` writes them (see
+  ``cents``), as SVG pixel coordinates are;
 - ``Pick``: per row, one string of a table of equal-width strings.
 
 ``write_rows`` writes ``CHUNK_ROWS`` rows at a time.  Each part fills a
 fixed range of columns in one ``uint8`` matrix per chunk, with 0 bytes in
 front of a number shorter than its column; dropping every 0 byte leaves
-the chunk's text.  So no text may contain a NUL, and memory is bounded by
-the chunk, not the row count.
+the chunk's text.  So no text may contain a NUL, and beyond the columns
+passed in, memory is bounded by the chunk, not the row count.
 
 ``Floats`` takes one of three paths per chunk, all giving ``repr``'s bytes:
 
@@ -34,15 +36,19 @@ import numpy as np
 
 CHUNK_ROWS = 1 << 14
 _DOT0 = np.frombuffer(b".0", dtype=np.uint8)
+_DOT = np.frombuffer(b".", dtype=np.uint8)
 _POW10 = 10 ** np.arange(19, dtype=np.int64)
 
 
 class Ints(NamedTuple):
     values: np.ndarray
-    width: int = 1
 
 
 class Floats(NamedTuple):
+    values: np.ndarray
+
+
+class Fixed2(NamedTuple):
     values: np.ndarray
 
 
@@ -51,7 +57,8 @@ class Pick(NamedTuple):
     table: tuple[str, ...]
 
 
-def write_rows(fp: IO[str], parts: Sequence[str | Ints | Floats | Pick]) -> None:
+def write_rows(fp: IO[str],
+               parts: Sequence[str | Ints | Floats | Fixed2 | Pick]) -> None:
     """Write one row per element of the template's columns, which must all
     have the same length."""
     sizes = {len(p[0]) for p in parts if not isinstance(p, str)}
@@ -71,7 +78,10 @@ def _fields(part, a: int, b: int) -> list[np.ndarray]:
     if isinstance(part, str):
         return [np.frombuffer(part.encode(), dtype=np.uint8)]
     if isinstance(part, Ints):
-        return [_digits(np.asarray(part.values[a:b], dtype=np.int64), part.width)]
+        return [_digits(np.asarray(part.values[a:b], dtype=np.int64), 1)]
+    if isinstance(part, Fixed2):
+        c = cents(part.values[a:b])
+        return [_digits(c // 100, 1), _DOT, _digits(c % 100, 2)]
     if isinstance(part, Pick):
         table = [s.encode() for s in part.table]
         if len({len(s) for s in table}) != 1:

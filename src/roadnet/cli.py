@@ -15,7 +15,7 @@ from pathlib import Path
 from . import __version__
 from ._text import Ints, write_rows
 from .clustering import INIT_METHODS, edges_to_points, kmeans
-from .graph import top_k_by_degree
+from .graph import top_k_by_degree, top_k_order
 from .graph_io import build_graph, load_edge_list, summarize
 from .pagerank import pagerank, top_k_pagerank
 from .parallel import resolve_threads
@@ -151,8 +151,7 @@ def _cmd_degrees(args: argparse.Namespace) -> None:
             maxima[label] = None
             print(f"{label}: none (empty graph)")
         else:
-            # the first maximum wins; id_map ascends, so that is the lowest ID
-            i = int(values.argmax())
+            i = int(top_k_order(values, graph.id_map, 1)[0])
             node_id, value = int(graph.id_map[i]), int(values[i])
             maxima[label] = {"node": node_id, "value": value}
             print(f"{label}: node {node_id} value {value}")

@@ -18,6 +18,7 @@ from typing import IO
 import numpy as np
 
 from ._text import Floats, Ints, write_rows
+from .graph import top_k_order
 from .graph_io import EdgeList
 from .parallel import block_count, block_ranges, run_blocks
 
@@ -353,7 +354,7 @@ def _update_centroids(xy: np.ndarray, labels: np.ndarray, mind2: np.ndarray,
     empty = np.flatnonzero(~filled)
     if empty.size:
         # farthest-first, ties to the lowest point index; one point each
-        order = np.argsort(-mind2, kind="stable")
-        for cluster, point in zip(empty, order[:empty.size]):
+        far = top_k_order(mind2, np.arange(mind2.size), empty.size)
+        for cluster, point in zip(empty, far):
             centroids[cluster] = xy[point]
     return centroids

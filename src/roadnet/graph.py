@@ -15,11 +15,12 @@ class Graph:
     """Road network in CSR form, dense node indices 0..n-1.
 
     Two views are kept side by side.  The symmetrized simple undirected view
-    (self-loops dropped, parallel edges merged) is a CSR.  The raw directed
-    arc multiset, exactly as read from the file (duplicates and self-loops
-    preserved), is kept as the arcs ``sources[j] -> targets[j]`` in file
-    order.  ``id_map[i]`` gives the original node identifier of dense index
-    ``i``; it is sorted ascending, so dense order is original-ID order.
+    (self-loops dropped, parallel edges merged) is the CSR of the keys of
+    each distinct pair and of its reverse.  The raw directed arc multiset,
+    exactly as read from the file (duplicates and self-loops preserved), is
+    kept as the arcs ``sources[j] -> targets[j]`` in file order.
+    ``id_map[i]`` gives the original node identifier of dense index ``i``;
+    it is sorted ascending, so dense order is original-ID order.
     """
 
     n: int
@@ -75,28 +76,28 @@ def split_keys(keys: np.ndarray):
 
 
 def sorted_distinct(values: np.ndarray) -> np.ndarray:
-    """Sorted distinct values, as ``np.unique(values)``.
+    """Sorted distinct values, as ``np.unique``; sorts ``values`` in place.
 
     One sort and an adjacent-difference mask: ``np.unique`` without
     ``return_*`` takes a hash-table path on numpy >= 2.3 that costs 10-30x
     more on int64 keys.
     """
-    out = np.sort(values)
-    keep = np.empty(out.size, dtype=bool)
+    values.sort()
+    keep = np.empty(values.size, dtype=bool)
     keep[:1] = True
-    np.not_equal(out[1:], out[:-1], out=keep[1:])
-    return out[keep]
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
-def csr_from_arcs(n: int, src: np.ndarray, dst: np.ndarray):
-    """Build (offsets, neighbors) with each neighbor run sorted ascending."""
-    neighbors = arc_keys(src, dst, n)
-    neighbors.sort()
-    neighbors &= 0xFFFFFFFF  # keep the dst half of each sorted key, in place
-    counts = np.bincount(src, minlength=n)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    return offsets, neighbors
+def csr_from_keys(n: int, keys: np.ndarray):
+    """Build (offsets, neighbors) from the ``arc_keys`` of the arcs, each
+    neighbor run sorted ascending.  ``keys`` is sorted and masked to its dst
+    halves in place, and becomes ``neighbors``."""
+    keys.sort()
+    # the last offset is keys.size, as n << 32 overflows at n = 2^31
+    offsets = np.append(np.searchsorted(keys, np.arange(n) << 32), keys.size)
+    keys &= 0xFFFFFFFF
+    return offsets, keys
 
 
 class TopKRow(NamedTuple):

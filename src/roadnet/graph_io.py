@@ -32,8 +32,7 @@ from typing import IO, Iterable, Iterator
 import numpy as np
 
 from ._text import Ints, write_rows
-from .graph import (Graph, arc_keys, csr_from_arcs, sorted_distinct,
-                    split_keys)
+from .graph import Graph, arc_keys, csr_from_keys, sorted_distinct
 
 BLOCK_LINES = 4096  # lines per parsed block; larger blocks cost peak RSS
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
@@ -351,9 +350,10 @@ class NodeIndex:
 def pair_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
     """Sorted distinct keys ``lo << 32 | hi`` of the unordered pairs {src, dst},
     src != dst, over int64 indices in 0..n-1; ``split_keys`` decodes them."""
-    keep = src != dst
-    lo, hi = np.minimum(src, dst)[keep], np.maximum(src, dst)[keep]
-    return sorted_distinct(arc_keys(lo, hi, n))
+    keys = arc_keys(np.minimum(src, dst), 0, n)
+    keys |= np.maximum(src, dst)
+    keys = keys[src != dst]
+    return sorted_distinct(keys)
 
 
 def summarize(edges: EdgeList) -> DatasetSummary:
@@ -376,9 +376,7 @@ def build_graph(edges: EdgeList) -> Graph:
     """
     ids, src, dst = NodeIndex().add(edges.from_ids, edges.to_ids)
     n = ids.size
-    lo, hi = split_keys(pair_keys(src, dst, n))
-    offsets, neighbors = csr_from_arcs(n, np.concatenate([lo, hi]),
-                                       np.concatenate([hi, lo]))
-    return Graph(n=n, undirected_offsets=offsets,
-                 undirected_neighbors=neighbors, sources=src, targets=dst,
+    keys = pair_keys(src, dst, n)
+    keys = np.concatenate([keys, arc_keys(keys & 0xFFFFFFFF, keys >> 32, n)])
+    return Graph(n, *csr_from_keys(n, keys), sources=src, targets=dst,
                  id_map=ids)

@@ -30,7 +30,7 @@ from typing import IO
 import numpy as np
 
 from ._text import Floats, Ints, write_rows
-from .graph import Graph, TopKTable, csr_from_arcs, table_from_scores
+from .graph import Graph, TopKTable, arc_keys, csr_from_keys, table_from_scores
 from .parallel import block_count, block_ranges, run_blocks
 
 # CG stops, unconverged, once ||r||^2 falls below this: p * q and r * r
@@ -79,8 +79,8 @@ def pagerank(graph: Graph, damping: float = 0.85, tolerance: float = 1e-10,
 
     if directed:
         # accumulate over in-arcs; each source u spreads score(u)/outdeg(u)
-        spread = _arc_sums(*csr_from_arcs(graph.n, graph.targets,
-                                          graph.sources), threads)
+        keys = arc_keys(graph.targets, graph.sources, graph.n)
+        spread = _arc_sums(*csr_from_keys(graph.n, keys), threads)
         scores, trace, converged = _power(spread, graph.outdegrees, damping,
                                           tolerance, max_iterations)
     else:

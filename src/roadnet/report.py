@@ -15,7 +15,7 @@ from typing import IO, Sequence
 
 import numpy as np
 
-from ._text import Floats, Ints, Pick, cents, write_rows
+from ._text import Fixed2, Floats, Pick, write_rows
 from .clustering import ClusteringResult, PointSet
 from .graph import TopKTable
 
@@ -62,15 +62,21 @@ def _fmt(v: float) -> str:
     return "0.00" if s == "-0.00" else s
 
 
+def _sampled(spec: ScatterSpec, *columns: np.ndarray) -> Sequence[np.ndarray]:
+    """The rows of the seeded reservoir sample of each column, or the
+    columns themselves when the sample takes every row."""
+    t = len(columns[0])
+    if spec.sample_size >= t:
+        return columns
+    idx = reservoir_sample_indices(t, spec.sample_size, spec.seed)
+    return [c[idx] for c in columns]
+
+
 def _circles(frame: _Frame, xy: np.ndarray) -> list:
     """Row-template parts of ``<circle cx=".." cy=".." r="1.5"`` per point,
-    the coordinates written as ``_fmt`` writes them."""
-    parts = ['<circle cx="']
-    for v, after in [(frame.px(xy[:, 0]), '" cy="'),
-                     (frame.py(xy[:, 1]), '" r="1.5"')]:
-        c = cents(v)
-        parts += [Ints(c // 100), ".", Ints(c % 100, 2), after]
-    return parts
+    the pixel coordinates written as ``_fmt`` writes them."""
+    return ['<circle cx="', Fixed2(frame.px(xy[:, 0])), '" cy="',
+            Fixed2(frame.py(xy[:, 1])), '" r="1.5"']
 
 
 def _tick(v: float) -> str:
@@ -99,6 +105,10 @@ class _Frame:
         self.top = _MARGIN["top"]
         self.inner_w = SCATTER_WIDTH - self.left - _MARGIN["right"]
         self.inner_h = SCATTER_HEIGHT - self.top - _MARGIN["bottom"]
+        # a finite span keeps every pixel in range before the file is opened
+        if not np.isfinite([self.x1 - self.x0, self.y1 - self.y0]).all():
+            raise ValueError("plot coordinates must be finite, within a "
+                             "finite span")
 
     def px(self, x):
         return self.left + (x - self.x0) / (self.x1 - self.x0) * self.inner_w
@@ -149,8 +159,7 @@ def _write_svg(path, lines: list[str], circles: Sequence = (),
 
 def render_scatter(spec: ScatterSpec, path) -> Path:
     """Sampled point scatter; axes linear in original-ID space."""
-    idx = reservoir_sample_indices(spec.points.t, spec.sample_size, spec.seed)
-    xy = spec.points.xy[idx]
+    xy, = _sampled(spec, spec.points.xy)
     frame = _Frame(xy[:, 0], xy[:, 1])
     lines = [_svg_open(SCATTER_WIDTH, SCATTER_HEIGHT)]
     lines += frame.decor(spec.title)
@@ -166,12 +175,10 @@ def render_clusters(result: ClusteringResult, points: PointSet,
         raise ValueError(
             f"clustering covers {result.assignment.shape[0]} points, "
             f"point set has {points.t}")
-    idx = reservoir_sample_indices(points.t, spec.sample_size, spec.seed)
-    xy = points.xy[idx]
-    labels = result.assignment[idx]
-    both_x = np.concatenate([xy[:, 0], result.centroids[:, 0]])
-    both_y = np.concatenate([xy[:, 1], result.centroids[:, 1]])
-    frame = _Frame(both_x, both_y)
+    xy, labels = _sampled(spec, points.xy, result.assignment)
+    # the frame spans the centroids and the sample's extremes
+    ends = [xy.min(axis=0), xy.max(axis=0)] if len(xy) else []
+    frame = _Frame(*np.vstack([result.centroids, *ends]).T)
 
     lines = [_svg_open(SCATTER_WIDTH, SCATTER_HEIGHT)]
     lines += frame.decor(spec.title)

@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 import roadnet
 from roadnet import EdgeList, build_graph, top_k_by_degree
 from roadnet.cli import main
-from roadnet.graph import (arc_keys, csr_from_arcs, sorted_distinct,
+from roadnet.graph import (arc_keys, csr_from_keys, sorted_distinct,
                            split_keys, top_k_order)
+from roadnet.graph_io import pair_keys
 from conftest import random_records
 from oracles import degree_scan, topk_sort
 
@@ -233,18 +234,31 @@ def test_raw_arcs_are_kept_in_file_order():
         assert g.outdegrees.tolist() == [outdeg[u] for u in ids]
 
 
-def test_csr_from_arcs_matches_lexsort_reference():
+def assert_csr_matches_lexsort(n, src, dst):
+    offsets, neighbors = csr_from_keys(n, arc_keys(src, dst, n))
+    order = np.lexsort((dst, src))
+    assert neighbors.dtype == np.int64
+    assert np.array_equal(neighbors, dst[order])
+    assert np.array_equal(offsets,
+                          np.searchsorted(src[order], np.arange(n + 1)))
+
+
+def test_csr_from_keys_matches_lexsort_reference():
     rng = np.random.default_rng(4)
     for n, m in [(1, 0), (1, 5), (7, 40), (300, 2000)]:
         # a small ID range forces duplicate arcs and self-loops
         src = rng.integers(0, n, size=m)
         dst = rng.integers(0, n, size=m)
-        offsets, neighbors = csr_from_arcs(n, src, dst)
-        order = np.lexsort((dst, src))
-        assert neighbors.dtype == np.int64
-        assert np.array_equal(neighbors, dst[order])
-        assert np.array_equal(offsets,
-                              np.searchsorted(src[order], np.arange(n + 1)))
+        assert_csr_matches_lexsort(n, src, dst)
+    # build_graph's input: the distinct pairs and their reverses, from arcs
+    # heavy in duplicates and self-loops, and from few arcs over many nodes
+    for n, m in [(1, 6), (9, 60), (40, 900), (50, 30)]:
+        src = rng.integers(0, n, size=m)
+        dst = rng.integers(0, n, size=m)
+        src[::3] = dst[::3]  # every third arc a self-loop
+        lo, hi = split_keys(pair_keys(src, dst, n))
+        assert_csr_matches_lexsort(n, np.concatenate([lo, hi]),
+                                   np.concatenate([hi, lo]))
 
 
 def test_arc_keys_at_and_past_the_index_limit():
@@ -254,7 +268,7 @@ def test_arc_keys_at_and_past_the_index_limit():
     assert list(zip(*map(np.ndarray.tolist, split_keys(keys)))) == [
         (0, 2**31 - 1), (2**31 - 1, 0), (2**31 - 1, 5)]
     with pytest.raises(ValueError, match="2\\^31"):
-        csr_from_arcs(2**31 + 1, top, rev)
+        arc_keys(top, rev, 2**31 + 1)
 
 
 @pytest.mark.parametrize("size,high", [(0, 5), (1, 5), (500, 10), (500, 2**62),

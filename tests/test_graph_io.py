@@ -11,9 +11,9 @@ from hypothesis import strategies as st
 from roadnet import (EdgeList, ParseError, build_graph, load_edge_list,
                      parse_edge_list, summarize, write_edge_list)
 from roadnet import graph_io
+from roadnet.graph import split_keys
 from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR, NodeIndex,
-                              iter_edge_blocks, iter_edge_lines, pair_keys,
-                              split_keys)
+                              iter_edge_blocks, iter_edge_lines, pair_keys)
 from conftest import random_records
 
 records_strategy = st.lists(

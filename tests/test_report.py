@@ -7,7 +7,7 @@ from roadnet import (ClusteringResult, PointSet, ScatterSpec, kmeans,
                      render_clusters, render_scatter, render_topk_bars,
                      reservoir_sample_indices, top_k_by_degree, build_graph,
                      EdgeList)
-from roadnet._text import CHUNK_ROWS, Ints, Pick, cents, write_rows
+from roadnet._text import CHUNK_ROWS, Fixed2, Ints, Pick, cents, write_rows
 from roadnet.report import (PALETTE, SCATTER_HEIGHT, SCATTER_WIDTH, _Frame,
                             _fmt, _svg_open, write_points_csv)
 from conftest import FOUR_POINTS
@@ -165,6 +165,22 @@ def test_render_io_error_carries_path(tmp_path):
                        tmp_path / "missing-dir" / "s.svg")
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -1e308])
+def test_render_refuses_non_finite_points(bad, tmp_path):
+    # -1e308 is finite, but its span to 1e308 overflows
+    points = pset([[1e308, 0.0], [bad, 2.0], [3.0, 4.0]])
+    result = ClusteringResult(
+        centroids=np.array([[0.0, 0.0]]), assignment=np.zeros(3, np.int64),
+        cluster_sizes=np.array([3]), objective=0.0, iterations_run=1,
+        converged=True, distance_evaluations=3, objective_trace=(0.0,))
+    path = tmp_path / "s.svg"
+    with pytest.raises(ValueError, match="finite"):
+        render_scatter(spec_for(points), path)
+    with pytest.raises(ValueError, match="finite"):
+        render_clusters(result, points, spec_for(points), path)
+    assert not path.exists()
+
+
 def test_points_csv_roundtrip_values():
     buf = io.StringIO()
     write_points_csv(buf, np.array([[0.5, 1.25], [3.0, 4.0]]))
@@ -254,7 +270,7 @@ def test_writers_match_loops_on_exact_ties(tmp_path):
 
 
 @pytest.mark.parametrize("t", [0, 1, CHUNK_ROWS - 1, CHUNK_ROWS,
-                               CHUNK_ROWS + 1])
+                               CHUNK_ROWS + 1, CHUNK_ROWS + 2])
 def test_writers_match_loops_at_chunk_edges(t, tmp_path):
     rng = np.random.default_rng(t)
     points = pset(rng.integers(0, 10 ** 7, size=(t, 2)))
@@ -268,11 +284,14 @@ def test_writers_match_loops_at_chunk_edges(t, tmp_path):
     buf = io.StringIO()
     write_points_csv(buf, points.xy)
     assert buf.getvalue() == loop_points_csv(points.xy)
-    spec = spec_for(points, sample=t)
-    assert render_scatter(spec, tmp_path / "s.svg").read_text() \
-        == loop_scatter_svg(spec)
-    assert render_clusters(result, points, spec, tmp_path / "c.svg") \
-        .read_text() == loop_clusters_svg(result, points, spec)
+    # every point, as views of the inputs; then a sample of all points but
+    # one, gathered, which spans two chunks at the largest t
+    for sample in [t, max(t - 1, 0)]:
+        spec = spec_for(points, sample=sample)
+        assert render_scatter(spec, tmp_path / "s.svg").read_text() \
+            == loop_scatter_svg(spec)
+        assert render_clusters(result, points, spec, tmp_path / "c.svg") \
+            .read_text() == loop_clusters_svg(result, points, spec)
 
 
 def test_csv_keeps_repr_past_exact_integers():
@@ -331,10 +350,19 @@ def test_cents_matches_python_formatting():
 def test_write_rows_fields():
     buf = io.StringIO()
     write_rows(buf, ["<", Ints(np.array([0, 7, 123, 4567])), "|",
-                     Ints(np.array([5, 0, 99, 100]), 2), "|",
+                     Fixed2(np.array([0.05, 7.0, 0.99, 100.0])), "|",
                      Pick(np.array([1, 0, 2, 1]), ("ab", "cd", "ef")), ">\n"])
-    assert buf.getvalue() == ("<0|05|cd>\n<7|00|ab>\n"
-                              "<123|99|ef>\n<4567|100|cd>\n")
+    assert buf.getvalue() == ("<0|0.05|cd>\n<7|7.00|ab>\n"
+                              "<123|0.99|ef>\n<4567|100.00|cd>\n")
+    # exact binary ties at the third decimal round half to even; 2.675 and
+    # 0.005 lie just below and above their ties
+    ties = np.array([0.125, 0.375, 60.625, 745.875, 1234567.125, 2.675,
+                     0.005, 0.0])
+    buf = io.StringIO()
+    write_rows(buf, [Fixed2(ties), "\n"])
+    assert buf.getvalue().split() == [
+        "0.12", "0.38", "60.62", "745.88", "1234567.12", "2.67", "0.01",
+        "0.00"] == [f"{x:.2f}" for x in ties.tolist()]
     with pytest.raises(ValueError):
         write_rows(io.StringIO(), [Ints(np.arange(3)), Ints(np.arange(4))])
     with pytest.raises(ValueError):
