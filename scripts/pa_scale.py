@@ -5,16 +5,20 @@
 
 Builds bench/gen.py's ``make_grid(1044, 0)`` (3,091,946 arcs over 1,082,042
 nodes, about the size of SNAP's roadNet-PA) and writes it as a SNAP edge list
-in a temporary directory, in a child process so that the high-water RSS is
-the stages' own.  Then it prints one line per stage, each run once, with
-its wall time and the process high-water RSS after it:
+in a temporary directory.  Then it prints one line per stage, each run once,
+with its wall time and the high-water RSS of its process after it.  The
+high-water mark only rises, so the stages run in four fresh spawned
+processes, and a line shows the peak of its stage or of an earlier stage
+in the same process:
 
+    the grid writer;
     load_edge_list, summarize, build_graph, pagerank (tol 1e-10),
-    pagerank.csv, pagerank --directed (30 power steps), kmeans (k 3,
-    20 passes), kmeans to convergence (the CLI's defaults; 88 passes),
-    kmeans (k 12, 40 passes), kmeans_points.csv, clusters svg (the CLI's
-    render_clusters: a sample of 100,000 points, seed 42), run_stream
-    (batch 2,500)
+    pagerank.csv, pagerank --directed (30 power steps);
+    kmeans (k 3, 20 passes), kmeans to convergence (the CLI's defaults;
+    88 passes), kmeans (k 12, 40 passes), kmeans_points.csv, clusters svg
+    (the CLI's render_clusters: a sample of 100,000 points, seed 42), after
+    loading the edge list again;
+    run_stream (batch 2,500).
 
 After the converged solve it prints its pass count and the distances it
 computed per point per pass.
@@ -68,53 +72,67 @@ def stage(name: str):
           f"  {high_water_mb():8.1f} MB", flush=True)
 
 
+def in_fresh_process(job, *args) -> None:
+    with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
+        pool.submit(job, *args).result()
+
+
+def graph_stages(path: Path, threads: int) -> None:
+    with stage("load_edge_list"):
+        edges = load_edge_list(path)
+    with stage("summarize"):
+        summarize(edges)
+    with stage("build_graph"):
+        graph = build_graph(edges)
+    with stage("pagerank"):
+        ranks = pagerank(graph, tolerance=1e-10, max_iterations=1000,
+                         threads=threads)
+    with stage("pagerank.csv"), \
+            open(path.with_name("pagerank.csv"), "w", encoding="utf-8") as fp:
+        ranks.to_csv(fp, graph)
+    with stage("pagerank --directed"):
+        pagerank(graph, tolerance=1e-10, max_iterations=30, directed=True,
+                 threads=threads)
+
+
+def kmeans_stages(path: Path, threads: int) -> None:
+    points = edges_to_points(load_edge_list(path))
+    with stage("kmeans"):
+        kmeans(points, 3, max_iterations=20, threads=threads)
+    with stage("kmeans converged"):
+        result = kmeans(points, 3, threads=threads)
+    per_point_pass = result.distance_evaluations / (
+        points.t * result.iterations_run)
+    print(f"{'':<20} {result.iterations_run} passes, "
+          f"{per_point_pass:.3f} distances per point per pass", flush=True)
+    with stage("kmeans k 12"):
+        kmeans(points, 12, max_iterations=40, threads=threads)
+    with stage("kmeans_points.csv"), open(
+            path.with_name("kmeans_points.csv"), "w", encoding="utf-8") as fp:
+        result.to_csv(fp, points)
+    with stage("clusters svg"):
+        spec = ScatterSpec(points=points, sample_size=100_000, seed=42,
+                           title="k-means communities (k=3)")
+        render_clusters(result, points, spec,
+                        path.with_name("clusters_k3.svg"))
+
+
+def stream_stage(path: Path) -> None:
+    with stage("run_stream"), open(path, "rb") as reader:
+        for _ in run_stream(reader, 2500, k=10, source_name=str(path)):
+            pass
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     with tempfile.TemporaryDirectory() as work:
-        work = Path(work)
-        path = work / "grid.txt"
-        with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
-            pool.submit(write_pa_grid, path).result()
-        with stage("load_edge_list"):
-            edges = load_edge_list(path)
-        with stage("summarize"):
-            summarize(edges)
-        with stage("build_graph"):
-            graph = build_graph(edges)
-        with stage("pagerank"):
-            ranks = pagerank(graph, tolerance=1e-10, max_iterations=1000,
-                             threads=args.threads)
-        with stage("pagerank.csv"), \
-                open(work / "pagerank.csv", "w", encoding="utf-8") as fp:
-            ranks.to_csv(fp, graph)
-        with stage("pagerank --directed"):
-            pagerank(graph, tolerance=1e-10, max_iterations=30, directed=True,
-                     threads=args.threads)
-        del graph, ranks
-        points = edges_to_points(edges)
-        with stage("kmeans"):
-            kmeans(points, 3, max_iterations=20, threads=args.threads)
-        with stage("kmeans converged"):
-            result = kmeans(points, 3, threads=args.threads)
-        per_point_pass = result.distance_evaluations / (
-            points.t * result.iterations_run)
-        print(f"{'':<20} {result.iterations_run} passes, "
-              f"{per_point_pass:.3f} distances per point per pass", flush=True)
-        with stage("kmeans k 12"):
-            kmeans(points, 12, max_iterations=40, threads=args.threads)
-        with stage("kmeans_points.csv"), \
-                open(work / "kmeans_points.csv", "w", encoding="utf-8") as fp:
-            result.to_csv(fp, points)
-        with stage("clusters svg"):
-            spec = ScatterSpec(points=points, sample_size=100_000, seed=42,
-                               title="k-means communities (k=3)")
-            render_clusters(result, points, spec, work / "clusters_k3.svg")
-        del edges, points, result
-        with stage("run_stream"), open(path, "rb") as reader:
-            for _ in run_stream(reader, 2500, k=10, source_name=str(path)):
-                pass
+        path = Path(work) / "grid.txt"
+        in_fresh_process(write_pa_grid, path)
+        in_fresh_process(graph_stages, path, args.threads)
+        in_fresh_process(kmeans_stages, path, args.threads)
+        in_fresh_process(stream_stage, path)
     return 0
 
 

@@ -14,7 +14,7 @@ from pathlib import Path
 
 from . import __version__
 from ._text import Ints, write_rows
-from .clustering import INIT_METHODS, edges_to_points, kmeans
+from .clustering import INIT_METHODS, PointSet, edges_to_points, kmeans
 from .graph import top_k_by_degree, top_k_order
 from .graph_io import build_graph, load_edge_list, summarize
 from .pagerank import pagerank, top_k_pagerank
@@ -239,14 +239,17 @@ def _cmd_kmeans(args: argparse.Namespace) -> None:
 
 def _cmd_scatter(args: argparse.Namespace) -> None:
     points = edges_to_points(load_edge_list(args.input))
-    spec = ScatterSpec(points=points, sample_size=args.sample,
-                       seed=args.seed, title=args.input.stem)
+    t = points.t
+    if args.sample < t:  # one draw serves the SVG and the CSV
+        idx = reservoir_sample_indices(t, args.sample, args.seed)
+        points = PointSet(points.xy[idx])
+    spec = ScatterSpec(points=points, sample_size=points.t,
+                       title=args.input.stem)
     svg = args.out / "scatter.svg"
     render_scatter(spec, svg)
-    idx = reservoir_sample_indices(points.t, args.sample, args.seed)
     with open(args.out / "scatter.csv", "w", encoding="utf-8") as fp:
-        write_points_csv(fp, points.xy[idx])
-    print(f"scatter: rendered {idx.size} of {points.t} points")
+        write_points_csv(fp, points.xy)
+    print(f"scatter: rendered {points.t} of {t} points")
     print(f"wrote {svg}")
 
 

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import io
 import re
-from array import array
 from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
@@ -257,13 +256,8 @@ def concat_blocks(blocks: list) -> EdgeList:
 
 
 def parse_edge_list(reader, source_name: str = "<stream>") -> EdgeList:
-    """Parse a SNAP edge-list stream into an EdgeList, file order preserved.
-    The arrays wrap the buffers each block was appended to, not a copy."""
-    columns = array("q"), array("q")
-    for block in iter_edge_blocks(reader, source_name):
-        for column, ids in zip(columns, block):
-            column.frombytes(memoryview(ids).cast("B"))
-    return EdgeList(*(np.frombuffer(c, dtype=np.int64) for c in columns))
+    """Parse a SNAP edge-list stream into an EdgeList, file order preserved."""
+    return concat_blocks(list(iter_edge_blocks(reader, source_name)))
 
 
 def load_edge_list(path) -> EdgeList:

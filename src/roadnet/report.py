@@ -26,6 +26,7 @@ PALETTE = ("#4e79a7", "#f28e2b", "#e15759", "#76b7b2", "#59a14f",
 _MARGIN = dict(left=60, right=15, top=30, bottom=45)
 SCATTER_WIDTH = SCATTER_HEIGHT = 800  # scatter and cluster plots, pixels
 BARS_WIDTH, BARS_HEIGHT = 900, 480  # top-k bar chart, pixels
+_DRAW_CHUNK = 1 << 16  # reservoir items per draw; bounds the draw's memory
 
 
 @dataclass
@@ -40,20 +41,21 @@ def reservoir_sample_indices(t: int, sample_size: int, seed: int) -> np.ndarray:
     """Indices of a uniform sample of min(sample_size, t) out of range(t).
 
     Reservoir replacement with a seeded generator; deterministic per
-    (t, sample_size, seed).  Item sample_size + offset draws a slot in
-    0..sample_size + offset and replaces it when the slot is in the
-    reservoir, so each slot ends up holding the last item that drew it.
+    (t, sample_size, seed).  Item i >= sample_size draws a slot in 0..i
+    (``_DRAW_CHUNK`` items a draw, the same stream as one draw for all) and
+    replaces it when the slot is in the reservoir, so each slot ends up
+    holding the last item that drew it.
     """
     if sample_size >= t:
         return np.arange(t, dtype=np.int64)
     idx = np.arange(sample_size, dtype=np.int64)
-    if sample_size == 0:
-        return idx
     rng = np.random.default_rng(seed)
-    draws = rng.integers(0, np.arange(sample_size, t, dtype=np.int64) + 1)
-    hits = np.flatnonzero(draws < sample_size)[::-1]  # latest first
-    slots, latest = np.unique(draws[hits], return_index=True)
-    idx[slots] = sample_size + hits[latest]
+    for start in range(sample_size, t, _DRAW_CHUNK):
+        items = np.arange(start, min(start + _DRAW_CHUNK, t), dtype=np.int64)
+        draws = rng.integers(0, items + 1)
+        hits = np.flatnonzero(draws < sample_size)[::-1]  # latest first
+        slots, latest = np.unique(draws[hits], return_index=True)
+        idx[slots] = items[hits[latest]]
     return idx
 
 

@@ -1,11 +1,14 @@
+import functools
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from roadnet import edges_to_points, kmeans, load_edge_list
 from roadnet.cli import build_parser, main
 from conftest import FOUR_POINTS
 from oracles import exhaustive_kmeans_optimum
@@ -175,6 +178,26 @@ def test_kmeans_objective_matches_exhaustive_oracle(snap_file, tmp_path):
     csv_rows = (out / "kmeans_points.csv").read_text().splitlines()
     assert csv_rows[0] == "point_index,x,y,cluster"
     assert len(csv_rows) == 5
+
+
+@pytest.mark.parametrize("init", ["first-k", "uniform-random"])
+def test_kmeans_init_choice_reaches_the_solver(snap_file, tmp_path, init):
+    rng = np.random.default_rng(11)
+    path = snap_file(rng.integers(0, 90, size=(120, 2)).tolist())
+    out = tmp_path / "out"
+    assert run_cli("kmeans", "--input", path, "--out", out, "--k", 4,
+                   "--init", init, "--seed", 5, "--max-iter", 3,
+                   "--tol", 1e-9) == 0
+    points = edges_to_points(load_edge_list(path))
+    solve = functools.partial(kmeans, points, 4, seed=5, max_iterations=3,
+                              tolerance=1e-9)
+    result = solve(init=init)
+    assert (out / "kmeans_result.json").read_text() == result.to_json() + "\n"
+    rows = (out / "kmeans_points.csv").read_text().splitlines()[1:]
+    assert [int(r.rsplit(",", 1)[1]) for r in rows] \
+        == result.assignment.tolist()
+    # the default init gives another result here, so the flag is not ignored
+    assert solve(init="kmeans++").to_json() != result.to_json()
 
 
 def test_degrees_artifacts(snap_file, tmp_path, capsys):

@@ -8,8 +8,9 @@ from roadnet import (ClusteringResult, PointSet, ScatterSpec, kmeans,
                      reservoir_sample_indices, top_k_by_degree, build_graph,
                      EdgeList)
 from roadnet._text import CHUNK_ROWS, Fixed2, Ints, Pick, cents, write_rows
-from roadnet.report import (PALETTE, SCATTER_HEIGHT, SCATTER_WIDTH, _Frame,
-                            _fmt, _svg_open, write_points_csv)
+from roadnet.report import (_DRAW_CHUNK, PALETTE, SCATTER_HEIGHT,
+                            SCATTER_WIDTH, _Frame, _fmt, _svg_open,
+                            write_points_csv)
 from conftest import FOUR_POINTS
 import io
 
@@ -51,6 +52,15 @@ def test_reservoir_matches_the_loop():
             for seed in range(5):
                 got = reservoir_sample_indices(t, sample, seed)
                 assert got.dtype == np.int64
+                assert np.array_equal(got, loop_reservoir(t, sample, seed)), \
+                    (t, sample, seed)
+    # items draw _DRAW_CHUNK at a time from sample_size on; with sample 1
+    # (t = chunk + 1) or 3 (t = 2 chunks + 3) the last chunk ends exactly,
+    # and with sample t - chunk - 1 it holds one item
+    for t in (_DRAW_CHUNK - 1, _DRAW_CHUNK + 1, 2 * _DRAW_CHUNK + 3):
+        for sample in {1, 3, 1000, t // 3, max(t - _DRAW_CHUNK - 1, 0), t - 1}:
+            for seed in range(2):
+                got = reservoir_sample_indices(t, sample, seed)
                 assert np.array_equal(got, loop_reservoir(t, sample, seed)), \
                     (t, sample, seed)
 
