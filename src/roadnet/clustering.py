@@ -6,7 +6,10 @@ assignment stabilizes, the objective improvement falls below tolerance, or
 max_iterations is hit.  The objective is the within-cluster sum of squared
 Euclidean distances.  One kernel finds nearest centroids, with ties to the
 lowest index; passes after the first run it only where Hamerly's bounds
-fail, and give the same bits as full passes.
+fail, and give the same bits as full passes.  When every coordinate is an
+integer and the sums cannot round, the centroid sums after the first pass
+are updated from the points each pass searched, again with the bits of a
+full update.
 """
 
 from __future__ import annotations
@@ -202,6 +205,19 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     computed: k per point in the first pass; in each later pass one per
     point plus k - 1 per point whose bounds failed.  So it is at most
     k * t per pass.
+
+    The first update takes each cluster's count and coordinate sums with
+    ``np.bincount`` over every point (``_update_centroids``).  Later updates
+    keep them, and each block changes them by the points it searched: each
+    chunk of cluster j's points is added to its nearest centroids and taken
+    from j, so a point that stays cancels.  A float64 sum of integers is
+    exact in any order while every partial sum stays below 2**53 in
+    magnitude, and each partial sum here is a signed sum over a set of
+    points.  So when every coordinate is an integer and
+    max|coordinate| * t < 2**53 (node IDs up to about 1.6e9 over
+    roadNet-CA's 5.5M records), these are the ``bincount`` sums, bit for
+    bit, whatever the blocks.  Any other point set takes the full update
+    after every pass.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -227,6 +243,14 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     blocks = [(x[a:b], y[a:b], labels[a:b], mind2[a:b], lower[a:b],
                scratch[a:b], np.empty(b - a, dtype=bool))
               for a, b in block_ranges(t, block_count("kmeans", k * t, threads))]
+    # whether the centroid sums can be kept across passes (see above): the
+    # integer check runs in each block's scratch, and allocates nothing
+    # t-sized
+    exact = scale * t < 2.0 ** 53 and all(
+        np.equal(np.trunc(c, out=tmp), c, out=keep).all()
+        for bx, by, *_, tmp, keep in blocks for c in (bx, by))
+    # each cluster's point count and coordinate sums, kept across passes
+    totals = np.empty((3, k)) if exact else None
     # past _LARGEST no bound holds, and every point is redone
     eta = _MARGIN * scale + _FLOOR if scale <= _LARGEST else np.inf
     half_gap = None
@@ -236,7 +260,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         # ``second`` is the point's first lower bound
         _nearest(x, y, centroids, label, best, second, tmp, closer)
         np.subtract(np.sqrt(second, out=second), eta, out=second)
-        return True, x.size
+        return True, x.size, None
 
     def bounded_pass(x, y, label, best, lower, tmp, keep):
         # the own-centroid distance by _sq_dist_to, so a skipped point's
@@ -254,19 +278,27 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         # locality.  In chunks, so the temporaries stay small in the early
         # passes, where many points redo
         redo = redo[np.argsort(label[redo], kind="stable")]
-        was = label[redo]
-        ends = np.searchsorted(was, np.arange(k + 1)).tolist()
+        ends = np.searchsorted(label[redo], np.arange(k + 1)).tolist()
+        moved = False
+        delta = None if totals is None else np.zeros((3, k))
         for j in range(k):
             for a in range(ends[j], ends[j + 1], _CHUNK):
                 rows = redo[a:min(a + _CHUNK, ends[j + 1])]
+                xs, ys = x[rows], y[rows]
                 nearest = np.empty(rows.size, dtype=np.int64)
                 near, second = np.empty((2, rows.size))
-                _nearest(x[rows], y[rows], centroids, nearest, near, second,
+                _nearest(xs, ys, centroids, nearest, near, second,
                          tmp[:rows.size], keep[:rows.size], j, best[rows])
                 label[rows] = nearest
                 best[rows] = near
                 lower[rows] = np.sqrt(second) - eta
-        return bool((label[redo] != was).any()), redo.size
+                moved = moved or bool((nearest != j).any())
+                if delta is not None:
+                    # the chunk's points leave cluster j for their nearest:
+                    # exact, so the blocks' deltas may be added in any order
+                    delta += _totals(xs, ys, nearest, k)
+                    delta[:, j] -= rows.size, xs.sum(), ys.sum()
+        return moved, redo.size, delta
 
     evaluations = 0
     trace: list[float] = []
@@ -276,11 +308,11 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     step = full_pass
     while iterations < max_iterations:
         passes = run_blocks(step, blocks, threads)
-        evaluations += t + (k - 1) * sum(redone for _, redone in passes)
+        evaluations += t + (k - 1) * sum(redone for _, redone, _ in passes)
         iterations += 1
         obj = float(mind2.sum())
         trace.append(obj)
-        if not any(moved for moved, _ in passes):
+        if not any(moved for moved, _, _ in passes):
             converged = True
             break
         if prev_obj is not None and prev_obj - obj < tolerance:
@@ -288,7 +320,12 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
             break
         if iterations == max_iterations:
             break
-        updated = _update_centroids(xy, labels, mind2, k)
+        if totals is None or step is full_pass:
+            updated = _update_centroids(xy, labels, mind2, k, totals)
+        else:
+            for *_, delta in passes:
+                totals += delta
+            updated = _means(xy, totals, mind2)
         drift = float(np.hypot(*(updated - centroids).T).max()) + eta
         centroids = updated
         half_gap = _half_gaps(centroids, eta)
@@ -341,13 +378,31 @@ def _half_gaps(centroids: np.ndarray, eta: float) -> np.ndarray:
     return np.maximum(0.5 * gaps - eta, 0.0)
 
 
+def _totals(x: np.ndarray, y: np.ndarray, labels: np.ndarray,
+            k: int) -> np.ndarray:
+    """Each cluster's point count, x sum and y sum, as the rows of a
+    (3, k) array."""
+    return np.stack([np.bincount(labels, minlength=k),
+                     np.bincount(labels, weights=x, minlength=k),
+                     np.bincount(labels, weights=y, minlength=k)])
+
+
 def _update_centroids(xy: np.ndarray, labels: np.ndarray, mind2: np.ndarray,
-                      k: int) -> np.ndarray:
-    """Mean of each cluster; empty clusters re-seed to the farthest points."""
-    counts = np.bincount(labels, minlength=k)
-    sums_x = np.bincount(labels, weights=xy[:, 0], minlength=k)
-    sums_y = np.bincount(labels, weights=xy[:, 1], minlength=k)
-    centroids = np.column_stack([sums_x, sums_y])
+                      k: int, totals: np.ndarray | None = None) -> np.ndarray:
+    """The full update: ``_means`` of the totals over every point, which
+    are also left in ``totals`` when it is given."""
+    sums = _totals(xy[:, 0], xy[:, 1], labels, k)
+    if totals is not None:
+        totals[:] = sums
+    return _means(xy, sums, mind2)
+
+
+def _means(xy: np.ndarray, totals: np.ndarray,
+           mind2: np.ndarray) -> np.ndarray:
+    """Mean of each cluster from its ``_totals``; empty clusters re-seed to
+    the farthest points."""
+    counts = totals[0]
+    centroids = np.column_stack([totals[1], totals[2]])
     filled = counts > 0
     centroids[filled] /= counts[filled, None]
 

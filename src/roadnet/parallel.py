@@ -14,11 +14,12 @@ were measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
 blocks at 0.19M arcs, broke even between 1.0M and 1.4M arcs, and was
 faster from there up (1.3x at 3.1M; ``np.bincount`` holds the GIL, the
 gather does not).  k-means (units: k * t, the distances of a full pass;
-with Hamerly's bounds a later pass computes about t) was measured in fresh
-processes with one solve each, as the CLI runs it, k = 3, median of 5-7
-alternated pairs: 2 blocks ran 0.75-0.93x as fast at 0.12-0.50M, 0.98x at
-0.66-0.81M, 1.00x at 0.92M and 1.08-1.18x at 1.0-2.0M, so the split
-starts at 1.0M.
+with Hamerly's bounds a later pass computes about t, and the centroid sums
+of integer points are kept across passes) was measured in fresh processes
+with one solve each, as the CLI runs it, k = 3, medians of 5-7 alternated
+pairs in each of three sweeps: 2 blocks ran 0.78x as fast at 0.25M,
+0.90-1.16x at 0.50-0.88M (the sweeps disagreed), 0.98-1.30x at 1.0M,
+1.21-1.41x at 1.25-2.0M and 1.89x at 9.3M, so the split starts at 1.0M.
 """
 
 from __future__ import annotations

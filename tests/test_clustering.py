@@ -1,3 +1,4 @@
+import json
 import sys
 
 import numpy as np
@@ -439,3 +440,116 @@ def test_blocked_solves_reuse_one_thread_pool(monkeypatch):
         result = kmeans(points, 4, seed=seed, tolerance=0.0, threads=2)
         assert result.iterations_run > 1
     assert len(made) <= 1
+
+
+class UpdateLog:
+    """The cluster sizes each centroid update divided by, and the indices
+    of the updates that were full ones (``_update_centroids``)."""
+
+    def __init__(self):
+        self.sizes, self.full = [], []
+
+    def clear(self):
+        self.sizes.clear()
+        self.full.clear()
+
+
+@pytest.fixture
+def centroid_updates(monkeypatch):
+    """An ``UpdateLog`` of every centroid update from here on."""
+    clustering = sys.modules["roadnet.clustering"]
+    log = UpdateLog()
+    full, means = clustering._update_centroids, clustering._means
+
+    def update_centroids(*args):
+        log.full.append(len(log.sizes))
+        return full(*args)
+
+    def spy_means(xy, totals, mind2):
+        log.sizes.append(totals[0].tolist())
+        return means(xy, totals, mind2)
+
+    monkeypatch.setattr(clustering, "_update_centroids", update_centroids)
+    monkeypatch.setattr(clustering, "_means", spy_means)
+    return log
+
+
+def _exact_update_cases():
+    rng = np.random.default_rng(9)
+    below = 2**47 - 1 - rng.integers(0, 2**30, size=(64, 2))
+    below[5, 1] = 2**47 - 1
+    return {
+        # max|coordinate| * t = 2**53 - 64: the sums are kept
+        "below_guard": (below, 3, "kmeans++", True),
+        # 2**53 exactly: the full update after every pass
+        "at_guard": (below + 1, 3, "kmeans++", False),
+        # cluster sums near 2**58 round, and only the full update gives
+        # bincount's sums
+        "rounding": (2**52 + rng.integers(-2**40, 2**40, size=(300, 2)), 4,
+                     "kmeans++", False),
+        "non_integer": (rng.normal(0, 10, size=(300, 2)), 4, "kmeans++",
+                        False),
+        "negative": (rng.integers(-500, 500, size=(1000, 2)), 6, "kmeans++",
+                     True),
+        # in pass 2 both copies of (5, 8) leave cluster 1 for 0 and (6, 4)
+        # leaves it for 2, so the kept sums empty it and it is re-seeded
+        "emptied": ([(4, 8), (5, 8), (7, 0), (3, 3), (6, 4), (5, 8)], 3,
+                    "first-k", True),
+    }
+
+
+@pytest.mark.parametrize("threads", [1, 2, 7])
+@pytest.mark.parametrize("case", sorted(_exact_update_cases()))
+def test_kept_centroid_sums_match_lloyd_bit_for_bit(case, threads,
+                                                    kmeans_blocks,
+                                                    centroid_updates,
+                                                    monkeypatch):
+    from roadnet import parallel
+    xy, k, init, kept = _exact_update_cases()[case]
+    points = pset(xy)
+    labels, centroids, trace, iterations, converged = matrix_kmeans(
+        points, k, seed=4, tolerance=0.0, init=init)
+    centroid_updates.clear()  # the reference's updates
+    monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
+    result = kmeans(points, k, init=init, seed=4, tolerance=0.0,
+                    threads=threads)
+    assert set(kmeans_blocks) == {min(threads, points.t)}
+    assert np.array_equal(result.assignment, labels)
+    assert np.array_equal(result.centroids, centroids)
+    assert result.objective_trace == trace
+    assert result.iterations_run == iterations > 2
+    assert result.converged == converged
+    updates = list(range(iterations - 1))
+    assert len(centroid_updates.sizes) == len(updates)
+    assert centroid_updates.full == ([0] if kept else updates)
+    if case == "emptied":
+        assert centroid_updates.sizes[1] == [3, 0, 3]
+        assert result.cluster_sizes.tolist() == [3, 1, 2]
+
+
+def test_cli_kmeans_keeps_the_sums_of_integer_ids(tmp_path, centroid_updates):
+    from gen import make_grid
+    from roadnet.cli import main
+    grid = make_grid(30, 1)
+    # IDs near 2**63 are integers, but their sums could round; spread out,
+    # so that they stay distinct as floats and the solve takes many passes
+    top = 2**63 - 1
+    inputs = {"grid.txt": (grid.from_ids, grid.to_ids),
+              "high.txt": (top - 4096 * grid.from_ids,
+                           top - 4096 * grid.to_ids)}
+    for name, (u, v) in inputs.items():
+        path = tmp_path / name
+        path.write_text("".join(f"{a}\t{b}\n" for a, b in zip(u.tolist(),
+                                                              v.tolist())))
+        centroid_updates.clear()
+        out = tmp_path / name.replace(".txt", "")
+        assert main(["kmeans", "--input", str(path), "--out", str(out),
+                     "--k", "3", "--threads", "1"]) == 0
+        passes = json.loads((out / "kmeans_result.json").read_text())[
+            "iterations_run"]
+        assert passes > 3
+        updates = list(range(passes - 1))
+        assert len(centroid_updates.sizes) == len(updates)
+        assert centroid_updates.full == (
+            [0] if name == "grid.txt" else updates)
+
