@@ -20,8 +20,8 @@ in the same process:
     loading the edge list again;
     run_stream (batch 2,500).
 
-After the converged solve it prints its pass count and the distances it
-computed per point per pass.
+After each k-means stage it prints the solve's pass count and the
+distances it computed per point per pass.
 
 It is not part of the test suite.  Perf changes quote its lines before and
 after, run on the same host.
@@ -95,18 +95,22 @@ def graph_stages(path: Path, threads: int) -> None:
                  threads=threads)
 
 
-def kmeans_stages(path: Path, threads: int) -> None:
-    points = edges_to_points(load_edge_list(path))
-    with stage("kmeans"):
-        kmeans(points, 3, max_iterations=20, threads=threads)
-    with stage("kmeans converged"):
-        result = kmeans(points, 3, threads=threads)
+def kmeans_stage(name: str, points, k: int, **options):
+    with stage(name):
+        result = kmeans(points, k, **options)
     per_point_pass = result.distance_evaluations / (
         points.t * result.iterations_run)
     print(f"{'':<20} {result.iterations_run} passes, "
           f"{per_point_pass:.3f} distances per point per pass", flush=True)
-    with stage("kmeans k 12"):
-        kmeans(points, 12, max_iterations=40, threads=threads)
+    return result
+
+
+def kmeans_stages(path: Path, threads: int) -> None:
+    points = edges_to_points(load_edge_list(path))
+    kmeans_stage("kmeans", points, 3, max_iterations=20, threads=threads)
+    result = kmeans_stage("kmeans converged", points, 3, threads=threads)
+    kmeans_stage("kmeans k 12", points, 12, max_iterations=40,
+                 threads=threads)
     with stage("kmeans_points.csv"), open(
             path.with_name("kmeans_points.csv"), "w", encoding="utf-8") as fp:
         result.to_csv(fp, points)

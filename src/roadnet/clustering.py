@@ -7,9 +7,9 @@ max_iterations is hit.  The objective is the within-cluster sum of squared
 Euclidean distances.  One kernel finds nearest centroids, with ties to the
 lowest index; passes after the first run it only where Hamerly's bounds
 fail, and give the same bits as full passes.  When every coordinate is an
-integer and the sums cannot round, the centroid sums after the first pass
-are updated from the points each pass searched, again with the bits of a
-full update.
+integer and the sums cannot round, the centroid sums are kept across
+passes, each pass adding the change its blocks hand back, again with the
+bits of a count over every point.
 """
 
 from __future__ import annotations
@@ -206,18 +206,16 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     point plus k - 1 per point whose bounds failed.  So it is at most
     k * t per pass.
 
-    The first update takes each cluster's count and coordinate sums with
-    ``np.bincount`` over every point (``_update_centroids``).  Later updates
-    keep them, and each block changes them by the points it searched: each
-    chunk of cluster j's points is added to its nearest centroids and taken
-    from j, so a point that stays cancels.  A float64 sum of integers is
-    exact in any order while every partial sum stays below 2**53 in
-    magnitude, and each partial sum here is a signed sum over a set of
-    points.  So when every coordinate is an integer and
+    Each update takes each cluster's count and coordinate sums as
+    ``np.bincount`` gives them over every point.  A float64 sum of integers
+    is exact in any order while every partial sum stays below 2**53 in
+    magnitude.  So when every coordinate is an integer and
     max|coordinate| * t < 2**53 (node IDs up to about 1.6e9 over
-    roadNet-CA's 5.5M records), these are the ``bincount`` sums, bit for
-    bit, whatever the blocks.  Any other point set takes the full update
-    after every pass.
+    roadNet-CA's 5.5M records), the sums start at zero and are kept across
+    passes, and each block hands back its change, bit for bit whatever the
+    blocks: the first pass its points' sums, a later pass each chunk of
+    cluster j's searched points added at their nearest centroids and taken
+    from j.  Any other point set is counted again after every pass.
     """
     if max_iterations < 1:
         raise ValueError(f"max_iterations must be >= 1, got {max_iterations}")
@@ -249,8 +247,8 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     exact = scale * t < 2.0 ** 53 and all(
         np.equal(np.trunc(c, out=tmp), c, out=keep).all()
         for bx, by, *_, tmp, keep in blocks for c in (bx, by))
-    # each cluster's point count and coordinate sums, kept across passes
-    totals = np.empty((3, k)) if exact else None
+    # each cluster's point count and coordinate sums, kept if exact
+    totals = np.zeros((3, k))
     # past _LARGEST no bound holds, and every point is redone
     eta = _MARGIN * scale + _FLOOR if scale <= _LARGEST else np.inf
     half_gap = None
@@ -260,7 +258,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         # ``second`` is the point's first lower bound
         _nearest(x, y, centroids, label, best, second, tmp, closer)
         np.subtract(np.sqrt(second, out=second), eta, out=second)
-        return True, x.size, None
+        return True, x.size, _totals(x, y, label, k) if exact else None
 
     def bounded_pass(x, y, label, best, lower, tmp, keep):
         # the own-centroid distance by _sq_dist_to, so a skipped point's
@@ -280,7 +278,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         redo = redo[np.argsort(label[redo], kind="stable")]
         ends = np.searchsorted(label[redo], np.arange(k + 1)).tolist()
         moved = False
-        delta = None if totals is None else np.zeros((3, k))
+        delta = np.zeros((3, k)) if exact else None
         for j in range(k):
             for a in range(ends[j], ends[j + 1], _CHUNK):
                 rows = redo[a:min(a + _CHUNK, ends[j + 1])]
@@ -293,7 +291,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
                 best[rows] = near
                 lower[rows] = np.sqrt(second) - eta
                 moved = moved or bool((nearest != j).any())
-                if delta is not None:
+                if exact:
                     # the chunk's points leave cluster j for their nearest:
                     # exact, so the blocks' deltas may be added in any order
                     delta += _totals(xs, ys, nearest, k)
@@ -320,12 +318,11 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
             break
         if iterations == max_iterations:
             break
-        if totals is None or step is full_pass:
-            updated = _update_centroids(xy, labels, mind2, k, totals)
+        if exact:
+            totals += sum(delta for *_, delta in passes)
         else:
-            for *_, delta in passes:
-                totals += delta
-            updated = _means(xy, totals, mind2)
+            totals = _totals(x, y, labels, k)
+        updated = _means(xy, totals, mind2)
         drift = float(np.hypot(*(updated - centroids).T).max()) + eta
         centroids = updated
         half_gap = _half_gaps(centroids, eta)
@@ -385,16 +382,6 @@ def _totals(x: np.ndarray, y: np.ndarray, labels: np.ndarray,
     return np.stack([np.bincount(labels, minlength=k),
                      np.bincount(labels, weights=x, minlength=k),
                      np.bincount(labels, weights=y, minlength=k)])
-
-
-def _update_centroids(xy: np.ndarray, labels: np.ndarray, mind2: np.ndarray,
-                      k: int, totals: np.ndarray | None = None) -> np.ndarray:
-    """The full update: ``_means`` of the totals over every point, which
-    are also left in ``totals`` when it is given."""
-    sums = _totals(xy[:, 0], xy[:, 1], labels, k)
-    if totals is not None:
-        totals[:] = sums
-    return _means(xy, sums, mind2)
 
 
 def _means(xy: np.ndarray, totals: np.ndarray,

@@ -141,7 +141,7 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
                 except ValueError:
                     raise ParseError(source_name, line_number, line,
                                      "non-integer node identifier") from None
-                if u < 0 or v < 0:
+                if "-" in (parts[0][0], parts[1][0]):  # also refuses -0
                     raise ParseError(source_name, line_number, line,
                                      "negative node identifier")
                 if u >= _ID_LIMIT or v >= _ID_LIMIT:

@@ -34,14 +34,19 @@ MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 500_000}
 
 def resolve_threads(threads: int | None = None) -> int:
     """Explicit argument wins, then ROADNET_THREADS, then CPU count."""
+    source = "thread count"
     if threads is None:
         env = os.environ.get(_ENV_THREADS)
-        if env:
-            threads = int(env)
-        else:
+        if not env:
             return os.cpu_count() or 1
+        source = _ENV_THREADS
+        try:
+            threads = int(env)
+        except ValueError:
+            raise ValueError(
+                f"{source} must be an integer, got {env!r}") from None
     if threads < 1:
-        raise ValueError(f"thread count must be >= 1, got {threads}")
+        raise ValueError(f"{source} must be >= 1, got {threads}")
     return threads
 
 

@@ -85,6 +85,21 @@ def _tick(v: float) -> str:
     return f"{v:g}"
 
 
+def _span(values: np.ndarray) -> tuple[float, float]:
+    """The values' (min, max), widened by 0.5 each way when they are equal,
+    or to the neighbouring doubles where rounding loses the 0.5 (some
+    |v| >= 2**52)."""
+    if not values.size:
+        return 0.0, 1.0
+    lo, hi = float(values.min()), float(values.max())
+    if hi == lo:
+        lo, hi = lo - 0.5, hi + 0.5
+    if hi == lo:
+        lo, hi = (np.nextafter(lo, -np.inf).item(),
+                  np.nextafter(hi, np.inf).item())
+    return lo, hi
+
+
 class _Frame:
     """Maps data coordinates into the pixel plot area, y axis pointing up.
 
@@ -93,16 +108,8 @@ class _Frame:
     """
 
     def __init__(self, xs: np.ndarray, ys: np.ndarray):
-        self.x0 = float(xs.min()) if xs.size else 0.0
-        self.x1 = float(xs.max()) if xs.size else 1.0
-        self.y0 = float(ys.min()) if ys.size else 0.0
-        self.y1 = float(ys.max()) if ys.size else 1.0
-        if self.x1 == self.x0:
-            self.x0 -= 0.5
-            self.x1 += 0.5
-        if self.y1 == self.y0:
-            self.y0 -= 0.5
-            self.y1 += 0.5
+        self.x0, self.x1 = _span(xs)
+        self.y0, self.y1 = _span(ys)
         self.left = _MARGIN["left"]
         self.top = _MARGIN["top"]
         self.inner_w = SCATTER_WIDTH - self.left - _MARGIN["right"]

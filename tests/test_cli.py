@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import numpy as np
@@ -119,7 +120,9 @@ def test_bad_threads_env_exits_2(snap_file, tmp_path, monkeypatch, capsys,
         run_cli("pagerank", "--input", path, "--out", tmp_path / "o")
     assert exc.value.code == 2
     assert not (tmp_path / "o").exists()
-    assert "usage: roadnet" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "usage: roadnet" in err
+    assert "ROADNET_THREADS" in err
 
 
 COMMAND_DESTS = {
@@ -220,6 +223,36 @@ def test_scatter_artifacts(snap_file, tmp_path):
                    "--sample", 2) == 0
     assert (out / "scatter.svg").read_text().count("<circle") == 2
     assert len((out / "scatter.csv").read_text().splitlines()) == 3
+
+
+# a float rounds this to 2**63 - 1024, where a widening by 0.5 rounds away;
+# the mean of 2 or 4 copies is exact, so k-means' centroid does not widen
+# the frame either
+HUGE_ID = 9223372036854775000
+
+
+@pytest.mark.parametrize("records", [
+    [(HUGE_ID, HUGE_ID)] * 2,
+    [(HUGE_ID, v) for v in range(4)],
+], ids=["both-axes", "x-axis"])
+@pytest.mark.parametrize("command", [["scatter"], ["kmeans", "--k", "1"]],
+                         ids=["scatter", "kmeans"])
+def test_plot_frame_of_one_huge_coordinate(snap_file, tmp_path, capsys,
+                                           records, command):
+    path = snap_file(records)
+    out = tmp_path / "out"
+    assert run_cli(*command, "--input", path, "--out", out) == 0
+    capsys.readouterr()
+    svg, = out.glob("*.svg")
+    root = ET.parse(svg).getroot()
+    ns = "{http://www.w3.org/2000/svg}"
+    plot = root.find(f"{ns}rect").attrib
+    left, top = float(plot["x"]), float(plot["y"])
+    right, bottom = left + float(plot["width"]), top + float(plot["height"])
+    circles = root.iter(f"{ns}circle")
+    spots = [(float(c.get("cx")), float(c.get("cy"))) for c in circles]
+    assert len(spots) == len(records)
+    assert all(left <= x <= right and top <= y <= bottom for x, y in spots)
 
 
 def test_stream_ndjson(snap_file, tmp_path, capsys):

@@ -6,7 +6,6 @@ import pytest
 
 from roadnet import (ClusteringResult, EdgeList, PointSet, edges_to_points,
                      kmeans, kmeans_init, objective)
-from roadnet.clustering import _update_centroids
 from conftest import FOUR_POINTS
 from oracles import (exhaustive_kmeans_optimum, kmeanspp_support,
                      partition_wcss, wcss)
@@ -263,8 +262,10 @@ def test_partition_oracle_agrees_with_wcss():
 def matrix_kmeans(points, k, seed, tolerance, max_iterations=300,
                   init="kmeans++"):
     """Lloyd's loop as first written: a (t, k) distance matrix reduced by
-    argmin and min on every pass.  The reference the bound-gated, blocked
-    solver must match bit for bit."""
+    argmin and min on every pass, then ``np.bincount`` means, each empty
+    cluster re-seeded to the next farthest point (ties to the lowest
+    index).  The reference the bound-gated, blocked solver must match bit
+    for bit; it shares none of the solver's update code."""
     xy = points.xy
     centroids = kmeans_init(points, k, method=init, seed=seed)
     trace = []
@@ -289,7 +290,14 @@ def matrix_kmeans(points, k, seed, tolerance, max_iterations=300,
             break
         if iterations == max_iterations:
             break
-        centroids = _update_centroids(xy, labels, mind2, k)
+        counts = np.bincount(labels, minlength=k)
+        centroids = np.column_stack([
+            np.bincount(labels, weights=xy[:, c], minlength=k) for c in (0, 1)])
+        filled = counts > 0
+        centroids[filled] /= counts[filled, None]
+        empty = np.flatnonzero(~filled)
+        far = np.argsort(-mind2, kind="stable")[:empty.size]
+        centroids[empty] = xy[far]
         prev_labels, prev_obj = labels, obj
     return labels, centroids, tuple(trace), iterations, converged
 
@@ -444,32 +452,48 @@ def test_blocked_solves_reuse_one_thread_pool(monkeypatch):
 
 class UpdateLog:
     """The cluster sizes each centroid update divided by, and the indices
-    of the updates that were full ones (``_update_centroids``)."""
+    of the updates that counted every point again after their pass."""
 
     def __init__(self):
-        self.sizes, self.full = [], []
+        self.sizes, self.recounts = [], []
 
     def clear(self):
         self.sizes.clear()
-        self.full.clear()
+        self.recounts.clear()
 
 
 @pytest.fixture
-def centroid_updates(monkeypatch):
-    """An ``UpdateLog`` of every centroid update from here on."""
+def centroid_updates(monkeypatch, kmeans_blocks):
+    """An ``UpdateLog`` of every centroid update from here on.  A count is
+    a recount when it runs outside the assignment passes (``run_blocks``)."""
     clustering = sys.modules["roadnet.clustering"]
     log = UpdateLog()
-    full, means = clustering._update_centroids, clustering._means
+    run_blocks, totals, means = (clustering.run_blocks, clustering._totals,
+                                 clustering._means)
+    passing, counted = [], []
 
-    def update_centroids(*args):
-        log.full.append(len(log.sizes))
-        return full(*args)
+    def spy_run_blocks(*args):
+        passing.append(True)
+        try:
+            return run_blocks(*args)
+        finally:
+            passing.pop()
 
-    def spy_means(xy, totals, mind2):
-        log.sizes.append(totals[0].tolist())
-        return means(xy, totals, mind2)
+    def spy_totals(x, y, labels, k):
+        if not passing:
+            counted.append(labels.size)
+        return totals(x, y, labels, k)
 
-    monkeypatch.setattr(clustering, "_update_centroids", update_centroids)
+    def spy_means(xy, sums, mind2):
+        if counted:
+            assert counted == [mind2.size]  # one count, over every point
+            log.recounts.append(len(log.sizes))
+            counted.clear()
+        log.sizes.append(sums[0].tolist())
+        return means(xy, sums, mind2)
+
+    monkeypatch.setattr(clustering, "run_blocks", spy_run_blocks)
+    monkeypatch.setattr(clustering, "_totals", spy_totals)
     monkeypatch.setattr(clustering, "_means", spy_means)
     return log
 
@@ -481,10 +505,10 @@ def _exact_update_cases():
     return {
         # max|coordinate| * t = 2**53 - 64: the sums are kept
         "below_guard": (below, 3, "kmeans++", True),
-        # 2**53 exactly: the full update after every pass
+        # 2**53 exactly: a recount after every pass
         "at_guard": (below + 1, 3, "kmeans++", False),
-        # cluster sums near 2**58 round, and only the full update gives
-        # bincount's sums
+        # cluster sums near 2**58 round, and only a recount gives bincount's
+        # sums
         "rounding": (2**52 + rng.integers(-2**40, 2**40, size=(300, 2)), 4,
                      "kmeans++", False),
         "non_integer": (rng.normal(0, 10, size=(300, 2)), 4, "kmeans++",
@@ -521,7 +545,7 @@ def test_kept_centroid_sums_match_lloyd_bit_for_bit(case, threads,
     assert result.converged == converged
     updates = list(range(iterations - 1))
     assert len(centroid_updates.sizes) == len(updates)
-    assert centroid_updates.full == ([0] if kept else updates)
+    assert centroid_updates.recounts == ([] if kept else updates)
     if case == "emptied":
         assert centroid_updates.sizes[1] == [3, 0, 3]
         assert result.cluster_sizes.tolist() == [3, 1, 2]
@@ -550,6 +574,6 @@ def test_cli_kmeans_keeps_the_sums_of_integer_ids(tmp_path, centroid_updates):
         assert passes > 3
         updates = list(range(passes - 1))
         assert len(centroid_updates.sizes) == len(updates)
-        assert centroid_updates.full == (
-            [0] if name == "grid.txt" else updates)
+        assert centroid_updates.recounts == (
+            [] if name == "grid.txt" else updates)
 

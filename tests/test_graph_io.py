@@ -55,6 +55,7 @@ def test_parse_byte_stream():
     ("0\t1\n1\n", 2),
     ("0 1 2\n", 1),
     ("-1\t2\n", 1),
+    ("0\t1\n-0\t2\n", 2),
     ("0\t1\n\n# c\n3.5\t2\n", 4),
     ("0\t1\n0\t9223372036854775808\n", 2),
     ("0 1\n+1\t1_0\n", 2),
