@@ -5,7 +5,9 @@
 
 Builds bench/gen.py's ``make_grid(1044, 0)`` (3,091,946 arcs over 1,082,042
 nodes, about the size of SNAP's roadNet-PA) and writes it as a SNAP edge list
-in a temporary directory.  Then it prints one line per stage, each run once,
+in a temporary directory.  It first prints one setup line (the Python and
+numpy versions, ``os.cpu_count()`` and ``--threads``), so a quoted table
+carries its setup.  Then it prints one line per stage, each run once,
 with its wall time and the high-water RSS of its process after it.  The
 high-water mark only rises, so the stages run in four fresh spawned
 processes, and a line shows the peak of its stage or of an earlier stage
@@ -28,6 +30,8 @@ after, run on the same host.
 """
 
 import argparse
+import os
+import platform
 import resource
 import sys
 import tempfile
@@ -40,6 +44,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "bench")]
 
+import numpy as np  # noqa: E402
 from gen import make_grid, write_grid  # noqa: E402
 from roadnet import (ScatterSpec, build_graph, edges_to_points,  # noqa: E402
                      kmeans, load_edge_list, pagerank, render_clusters,
@@ -131,6 +136,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
+    print(f"python {platform.python_version()}, numpy {np.__version__}, "
+          f"{os.cpu_count()} CPUs, --threads {args.threads}", flush=True)
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "grid.txt"
         in_fresh_process(write_pa_grid, path)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -18,7 +19,6 @@ from .clustering import INIT_METHODS, PointSet, edges_to_points, kmeans
 from .graph import top_k_by_degree, top_k_order
 from .graph_io import build_graph, load_edge_list, summarize
 from .pagerank import pagerank, top_k_pagerank
-from .parallel import resolve_threads
 from .report import (ScatterSpec, render_clusters, render_scatter,
                      render_topk_bars, reservoir_sample_indices,
                      write_points_csv)
@@ -65,10 +65,11 @@ def build_parser() -> argparse.ArgumentParser:
     files.add_argument("--out", type=Path, default=Path("out"),
                        help="artifact directory (default: out)")
     threads = argparse.ArgumentParser(add_help=False)
-    threads.add_argument("--threads", type=_positive_int, default=None,
-                         help="worker count (default: ROADNET_THREADS or all CPUs)")
+    threads.add_argument("--threads", type=_positive_int,
+                         default=os.cpu_count() or 1,
+                         help="worker count (default: all CPUs)")
     seed = argparse.ArgumentParser(add_help=False)
-    seed.add_argument("--seed", type=int, default=42)
+    seed.add_argument("--seed", type=_nonneg_int, default=42)
 
     def command(name, handler, help_text, *parents):
         p = sub.add_parser(name, parents=[files, *parents], help=help_text)
@@ -276,13 +277,7 @@ def _cmd_stream(args: argparse.Namespace) -> None:
 
 def main(argv=None) -> int:
     """Run one command; artifacts go under --out.  Returns the exit code."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if "threads" in args:
-        try:
-            args.threads = resolve_threads(args.threads)
-        except ValueError as exc:
-            parser.error(str(exc))
+    args = build_parser().parse_args(argv)
     if not args.input.exists():
         print(f"roadnet: input file not found: {args.input}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ import numpy as np
 from ._text import Floats, Ints, write_rows
 from .graph import top_k_order
 from .graph_io import EdgeList
-from .parallel import block_count, block_ranges, run_blocks
+from .parallel import block_ranges, run_blocks
 
 INIT_METHODS = ("kmeans++", "uniform-random", "first-k")
 
@@ -240,7 +240,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
     # worker's malloc arena)
     blocks = [(x[a:b], y[a:b], labels[a:b], mind2[a:b], lower[a:b],
                scratch[a:b], np.empty(b - a, dtype=bool))
-              for a, b in block_ranges(t, block_count("kmeans", k * t, threads))]
+              for a, b in block_ranges(t, "kmeans", k * t, threads)]
     # whether the centroid sums can be kept across passes (see above): the
     # integer check runs in each block's scratch, and allocates nothing
     # t-sized

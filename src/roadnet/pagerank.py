@@ -31,7 +31,7 @@ import numpy as np
 
 from ._text import Floats, Ints, write_rows
 from .graph import Graph, TopKTable, arc_keys, csr_from_keys, table_from_scores
-from .parallel import block_count, block_ranges, run_blocks
+from .parallel import block_ranges, run_blocks
 
 # CG stops, unconverged, once ||r||^2 falls below this: p * q and r * r
 # would then underflow and the step length would be noise
@@ -102,8 +102,8 @@ def _arc_sums(offsets: np.ndarray, neighbors: np.ndarray, threads: int):
     CSR row of v.  Node blocks each sum their rows in CSR order, so the
     result is the same for any block count."""
     blocks = []  # (a, b, arc slice, local row of each arc) per node block
-    split = block_count("pagerank", neighbors.size, threads)
-    for a, b in block_ranges(offsets.size - 1, split):
+    for a, b in block_ranges(offsets.size - 1, "pagerank", neighbors.size,
+                             threads):
         rows = np.repeat(np.arange(b - a), np.diff(offsets[a:b + 1]))
         blocks.append((a, b, slice(offsets[a], offsets[b]), rows))
 

@@ -4,11 +4,13 @@ Every kernel in this package computes each output element independently of
 how the index space is blocked, so results are bit-identical for any worker
 count; the pool only changes who computes which block.
 
-Every kernel splits its work into at most ``threads`` blocks, and only into
-blocks of at least ``MIN_BLOCK_WORK[kernel]`` units: below that, handing a
-block to a second thread costs more than it saves.  The blocks run on one
-executor per thread count, kept for the life of the process.  The minimums
-were measured with 2 threads on 2 vCPUs on generated road grids.  PageRank
+``block_ranges`` makes every kernel's split in one call: at most
+``threads`` blocks, and only blocks of at least ``MIN_BLOCK_WORK[kernel]``
+units, because below that, handing a block to a second thread costs more
+than it saves.  The worker count is the caller's (the CLI's ``--threads``,
+all CPUs by default).  The blocks run on one executor per thread count,
+kept for the life of the process.  The minimums were measured with 2
+threads on 2 vCPUs on generated road grids.  PageRank
 (units: arcs gathered per power step or CG product, each one blocked
 ``np.bincount``; measured on the power step) ran 2.5-4x slower in 2
 blocks at 0.19M arcs, broke even between 1.0M and 1.4M arcs, and was
@@ -24,50 +26,21 @@ pairs in each of three sweeps: 2 blocks ran 0.78x as fast at 0.25M,
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
-_ENV_THREADS = "ROADNET_THREADS"
 MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 500_000}
 
 
-def resolve_threads(threads: int | None = None) -> int:
-    """Explicit argument wins, then ROADNET_THREADS, then CPU count."""
-    source = "thread count"
-    if threads is None:
-        env = os.environ.get(_ENV_THREADS)
-        if not env:
-            return os.cpu_count() or 1
-        source = _ENV_THREADS
-        try:
-            threads = int(env)
-        except ValueError:
-            raise ValueError(
-                f"{source} must be an integer, got {env!r}") from None
-    if threads < 1:
-        raise ValueError(f"{source} must be >= 1, got {threads}")
-    return threads
-
-
-def block_ranges(n: int, blocks: int) -> list[tuple[int, int]]:
-    """Split range(n) into at most `blocks` contiguous near-even pieces."""
-    blocks = max(1, min(blocks, n)) if n else 1
+def block_ranges(n: int, kernel: str, work: int,
+                 threads: int) -> list[tuple[int, int]]:
+    """Split range(n), which holds ``work`` units of ``kernel``, into
+    contiguous near-even pieces: at most ``threads``, n and
+    ``work // MIN_BLOCK_WORK[kernel]`` of them, and always at least one."""
+    blocks = max(1, min(threads, work // MIN_BLOCK_WORK[kernel], n))
     step, extra = divmod(n, blocks)
-    ranges = []
-    start = 0
-    for i in range(blocks):
-        stop = start + step + (1 if i < extra else 0)
-        if stop > start:
-            ranges.append((start, stop))
-        start = stop
-    return ranges or [(0, 0)]
-
-
-def block_count(kernel: str, work: int, threads: int) -> int:
-    """Blocks to split ``work`` units of ``kernel`` into: at most
-    ``threads``, each with at least ``MIN_BLOCK_WORK[kernel]`` units."""
-    return max(1, min(threads, work // MIN_BLOCK_WORK[kernel]))
+    return [(i * step + min(i, extra), (i + 1) * step + min(i + 1, extra))
+            for i in range(blocks)]
 
 
 @cache

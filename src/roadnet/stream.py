@@ -104,6 +104,8 @@ class _DegreeTracker:
         fresh, src, dst = self.nodes.add(edges.from_ids, edges.to_ids)
         n = self.nodes.n
         if n > self.slots.shape[1]:
+            # np.zeros leaves the unused tail lazily zeroed; np.pad would
+            # write it (+19 MB VmHWM on a PA-size stream)
             slots = np.zeros((4, max(n, 2 * self.slots.shape[1])),
                              dtype=np.int64)
             slots[:, :old] = self.slots[:, :old]
