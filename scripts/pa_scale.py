@@ -8,7 +8,8 @@ nodes, about the size of SNAP's roadNet-PA) and writes it as a SNAP edge list
 in a temporary directory.  It first prints one setup line (the Python and
 numpy versions, ``os.cpu_count()`` and ``--threads``), so a quoted table
 carries its setup.  Then it prints one line per stage, each run once,
-with its wall time and the high-water RSS of its process after it.  The
+with its wall time and the high-water RSS of its process after it
+(``load_edge_list`` also gives the input's size and its rate in MB/s).  The
 high-water mark only rises, so the stages run in four fresh spawned
 processes, and a line shows the peak of its stage or of an earlier stage
 in the same process:
@@ -70,11 +71,16 @@ def high_water_mb() -> float:
 
 
 @contextmanager
-def stage(name: str):
+def stage(name: str, input_mb: float = 0.0):
+    """Print the stage's wall time and high-water RSS, and with ``input_mb``
+    the size of its input and the rate it was read at."""
     start = time.perf_counter()
     yield
-    print(f"{name:<20} {time.perf_counter() - start:8.3f} s"
-          f"  {high_water_mb():8.1f} MB", flush=True)
+    wall = time.perf_counter() - start
+    rate = (f"  {input_mb:.1f} MB input, {input_mb / wall:.1f} MB/s"
+            if input_mb else "")
+    print(f"{name:<20} {wall:8.3f} s  {high_water_mb():8.1f} MB{rate}",
+          flush=True)
 
 
 def in_fresh_process(job, *args) -> None:
@@ -83,7 +89,7 @@ def in_fresh_process(job, *args) -> None:
 
 
 def graph_stages(path: Path, threads: int) -> None:
-    with stage("load_edge_list"):
+    with stage("load_edge_list", path.stat().st_size / 1e6):
         edges = load_edge_list(path)
     with stage("summarize"):
         summarize(edges)

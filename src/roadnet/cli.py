@@ -17,7 +17,7 @@ from . import __version__
 from ._text import Ints, write_rows
 from .clustering import INIT_METHODS, PointSet, edges_to_points, kmeans
 from .graph import top_k_by_degree, top_k_order
-from .graph_io import build_graph, load_edge_list, summarize
+from .graph_io import _INTEGER, build_graph, load_edge_list, summarize
 from .pagerank import pagerank, top_k_pagerank
 from .report import (ScatterSpec, render_clusters, render_scatter,
                      render_topk_bars, reservoir_sample_indices,
@@ -39,6 +39,8 @@ def _checked(cast, positive: bool):
               f"{'integer' if cast is int else 'number'}")
 
     def check(text: str):
+        if cast is int and not _INTEGER.fullmatch(text):
+            raise ValueError(text)  # int() alone takes "1_6", "+2" and "٣"
         value = cast(text)
         if not (value > 0 if positive else value >= 0):
             raise argparse.ArgumentTypeError(f"expected a {wanted}, got {text}")

@@ -8,14 +8,14 @@ these datasets refer to the deduplicated undirected view.
 
 The accepted format is defined by the per-line scanner ``iter_edge_lines``
 (``str.strip``/``split`` per line, two tokens of ASCII digits).  Bulk
-parsing goes through ``iter_edge_blocks``, which reads ``BLOCK_LINES``
-lines at a time from the same line iterator and parses a block in numpy
-when every line keeps to a strict grammar: comment lines (first byte other
-than space/tab is ``#``), and lines of ASCII digits, spaces and tabs
-holding no token or exactly two tokens of at most 18 digits.  Any other
-block is rescanned by the scanner from its first line number, so rows,
-ParseErrors (line number, text, reason) and the rows yielded before an
-error are the scanner's.
+parsing goes through ``iter_edge_blocks``: it reads ``BLOCK_BYTES`` of a
+binary stream (cut after the last newline) or ``BLOCK_LINES`` lines of a
+text stream at a time, parsed in numpy if all keep to a strict grammar:
+``\\r`` only in ``\\r\\n``, comments (first byte other than space/tab is
+``#``), and lines of ASCII digits, spaces and tabs with no token or two
+tokens of at most 18 digits.  Else the scanner rescans the lines, split as
+a text stream splits them, so rows, ParseErrors (line number, text,
+reason) and the rows yielded before an error are the scanner's.
 """
 
 from __future__ import annotations
@@ -34,7 +34,8 @@ from ._text import Ints, write_rows
 from .graph import (Graph, arc_keys, csr_from_keys, sorted_distinct,
                     split_keys)
 
-BLOCK_LINES = 4096  # lines per parsed block; larger blocks cost peak RSS
+BLOCK_LINES = 4096  # lines per parsed block of a text stream
+BLOCK_BYTES = 3 << 14  # bytes per binary read; larger reads raise peak RSS
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
 _ID_LIMIT = 2**63
 # IDs below this always take the direct table (see NodeIndex).  Its
@@ -45,8 +46,7 @@ _ID_LIMIT = 2**63
 DIRECT_TABLE_FLOOR = 1 << 21
 # int() alone would also take "+", "_" and non-ASCII digits
 _INTEGER = re.compile(r"-?[0-9]+")
-_DATA_BYTES = np.zeros(256, dtype=bool)  # bytes of strict data lines
-_DATA_BYTES[list(b"0123456789 \t\n")] = True
+_DATA_BYTES = b"0123456789 \t\r\n"  # the bytes of strict data lines
 
 
 class ParseError(ValueError):
@@ -99,14 +99,18 @@ class DatasetSummary:
     self_loop_count: int
 
 
+def _is_binary(reader) -> bool:
+    return (isinstance(reader, (io.RawIOBase, io.BufferedIOBase))
+            or "b" in getattr(reader, "mode", ""))
+
+
 @contextmanager
 def _as_text(reader) -> Iterator[IO[str]]:
     """``reader`` as a text stream.  A wrapper made here for a binary stream
     decodes bytes that are not UTF-8 to lone surrogates, so the scanner
     reports their line, and is detached when reading ends, so the caller's
     stream stays open."""
-    if not (isinstance(reader, (io.RawIOBase, io.BufferedIOBase))
-            or "b" in getattr(reader, "mode", "")):
+    if not _is_binary(reader):
         yield reader
         return
     text = io.TextIOWrapper(reader, encoding="utf-8",
@@ -159,49 +163,46 @@ def _read_failure(exc: Exception, source_name: str) -> Exception:
     return kind(f"while reading {source_name}: {exc}")
 
 
-def _strict_pairs(lines: list[str]) -> np.ndarray | None:
-    """The block's data lines as an (n, 2) int64 array, or None if any line
-    is outside the strict grammar (see the module docstring)."""
-    text = "".join(lines)
-    if "#" in text:
-        lines = [s for s in lines if not s.lstrip(" \t").startswith("#")]
-        text = "".join(lines)
-    if not lines:
-        return np.zeros((0, 2), dtype=np.int64)
-    if not text.endswith("\n"):  # the last line of the input
-        text += "\n"
-    if not text.isascii():
+def _strict_pairs(data: bytes) -> np.ndarray | None:
+    """The data lines of ``data`` (whole lines) as an (n, 2) int64 array, or
+    None if a line is outside the strict grammar (see the module docstring)."""
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None  # a lone "\r" ends a line
+    if b"#" in data:  # split only the lines up to the last "#"
+        end = data.find(b"\n", data.rfind(b"#")) + 1 or len(data)
+        data = b"".join([s for s in data[:end].splitlines(keepends=True)
+                         if not s.lstrip(b" \t").startswith(b"#")]
+                        + [data[end:]])
+    if not data.endswith(b"\n"):  # the last line of the input
+        data += b"\n"
+    if data.translate(None, _DATA_BYTES):  # a byte outside them
         return None
-    buf = np.frombuffer(text.encode("ascii"), dtype=np.uint8)
-    if not np.take(_DATA_BYTES, buf).all():
-        return None
+    buf = np.frombuffer(data, dtype=np.uint8)
     newlines = np.flatnonzero(buf == ord("\n"))
-    if newlines.size != len(lines):  # a line held a second newline or none
-        return None
     # Digits are the only allowed bytes >= "0"; runs alternate start/end.
     bounds = np.flatnonzero(np.diff(buf >= ord("0"), prepend=False))
     starts, ends = bounds[0::2], bounds[1::2]
-    widths = ends - starts
     tokens_per_line = np.diff(np.searchsorted(starts, newlines), prepend=0)
+    width = (ends - starts).max(initial=0)
     if (np.any((tokens_per_line != 0) & (tokens_per_line != 2))
-            or widths.max(initial=0) > _MAX_DIGITS):
+            or width > _MAX_DIGITS):
         return None
+    del newlines, tokens_per_line
     values = np.zeros(starts.size, dtype=np.int64)
-    for k in range(widths.max(initial=0)):  # k-th digit from the right
-        digit = buf[ends - (k + 1)] - np.uint8(ord("0"))
-        digit[widths <= k] = 0
-        values += digit * np.int64(10**k)
+    at = ends - width  # each token read right-aligned in `width` digits
+    for _ in range(width):
+        digit = buf[at] - np.uint8(ord("0"))
+        digit[at < starts] = 0  # a leading zero
+        values *= 10
+        values += digit
+        at += 1
     return values.reshape(-1, 2)
 
 
-def _block_edges(lines: list[str], first_line: int, source_name: str):
-    """Yield the block's rows as one (from_ids, to_ids) pair, if any.
-
-    A block outside the strict grammar is rescanned by ``iter_edge_lines``;
-    on a malformed line, the rows before it are yielded and then the
-    ParseError is raised, numbered from the block's ``first_line``.
-    """
-    pairs = _strict_pairs(lines)
+def _block_edges(pairs, lines: list[str], first_line: int, source_name: str):
+    """Yield ``pairs``, or if None the rows ``iter_edge_lines`` scans from
+    ``lines``, as one (from_ids, to_ids) pair, if any; on a malformed line,
+    the rows before it, then its ParseError numbered from ``first_line``."""
     if pairs is None:
         rows: list[tuple[int, int]] = []
         try:  # extend keeps the rows before a raise
@@ -217,36 +218,63 @@ def _block_edges(lines: list[str], first_line: int, source_name: str):
 
 
 def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
-    from_ids, to_ids = np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T.copy()
-    return from_ids, to_ids
+    return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
+
+
+def _byte_pieces(reader) -> Iterator[tuple[bytes, None]]:
+    """Yield (piece, None) per ``BLOCK_BYTES`` read (``read1`` gives a pipe's
+    data as it arrives): the bytes held and read up to the last ``\\n``."""
+    read = getattr(reader, "read1", reader.read)
+    held: list[bytes] = []  # the bytes read since the last "\n"
+    while data := read(BLOCK_BYTES):
+        if cut := data.rfind(b"\n") + 1:
+            yield b"".join([*held, memoryview(data)[:cut]]), None
+            held = []
+        held.append(data[cut:])
+    yield b"".join(held), None
+
+
+def _text_blocks(reader) -> Iterator[tuple[bytes | None, list[str]]]:
+    """Yield (data, lines) per ``BLOCK_LINES`` lines, then a read failure;
+    data is their bytes if each line ends in its only ``\\n``, else None."""
+    while True:
+        lines, failure = [], None
+        try:  # extend keeps the lines read before a failure
+            lines.extend(islice(reader, BLOCK_LINES))
+        except (OSError, UnicodeDecodeError) as exc:
+            failure = exc
+        text = "".join(lines)
+        whole = text.count("\n") == len(lines) - 1 + text.endswith("\n")
+        yield (text.encode("utf-8", "surrogatepass") if whole else None), lines
+        if failure is not None:
+            raise failure
+        if len(lines) < BLOCK_LINES:
+            return
 
 
 def iter_edge_blocks(reader, source_name: str = "<stream>"
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
     """Yield (from_ids, to_ids) int64 arrays of the data lines, in file order,
-    parsed ``BLOCK_LINES`` lines at a time.
+    parsed a piece at a time (see the module docstring).
 
     Accepts, rejects and reports exactly as ``iter_edge_lines``: the same
     rows, the same ParseError (line number, text, reason) after the same
     rows, and I/O and decode failures with the source name attached after
-    the rows read before them.  A text stream decodes ahead of the lines it
-    returns, so a decode failure names no line.
+    the rows of the whole lines read before them.  A text stream decodes
+    ahead of the lines it returns, so a decode failure names no line.
     """
+    blocks = (_byte_pieces if _is_binary(reader) else _text_blocks)(reader)
     first_line = 1
-    with _as_text(reader) as text:
-        while True:
-            lines: list[str] = []
-            failure = None
-            try:  # extend keeps the lines read before a failure
-                lines.extend(islice(text, BLOCK_LINES))
-            except (OSError, UnicodeDecodeError) as exc:
-                failure = exc
-            yield from _block_edges(lines, first_line, source_name)
-            first_line += len(lines)
-            if failure is not None:
-                raise _read_failure(failure, source_name) from failure
-            if len(lines) < BLOCK_LINES:
-                return
+    try:
+        for data, lines in blocks:
+            pairs = None if data is None else _strict_pairs(data)
+            if pairs is None and lines is None:  # split as text would be
+                text = data.decode("utf-8", "surrogateescape")
+                lines = list(io.StringIO(text, newline=None))
+            yield from _block_edges(pairs, lines, first_line, source_name)
+            first_line += data.count(b"\n") if lines is None else len(lines)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _read_failure(exc, source_name) from exc
 
 
 def concat_blocks(blocks: list) -> EdgeList:

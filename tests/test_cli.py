@@ -101,9 +101,14 @@ def test_unknown_command_exits_2(capsys):
     ("degrees", "--threads", "2"),
     ("kmeans", "--seed", "-1"),
     ("scatter", "--seed", "-1"),
+    ("pagerank", "--threads", "1_6"),
+    ("kmeans", "--k", "+2"),
+    ("scatter", "--seed", "\u0663"),
+    ("stream", "--batch-size", "1_0"),
 ], ids=["damping-1.5", "pagerank-tol-0", "pagerank-tol-nan", "kmeans-tol-neg",
         "kmeans-tol-nan", "threads-0", "summary-seed", "degrees-threads",
-        "kmeans-seed-neg", "scatter-seed-neg"])
+        "kmeans-seed-neg", "scatter-seed-neg", "threads-underscore",
+        "k-plus", "seed-arabic-indic-digit", "batch-size-underscore"])
 def test_usage_error_exits_2(snap_file, tmp_path, capsys, command, flag,
                             value):
     path = snap_file(TRIANGLE)

@@ -1,5 +1,7 @@
 import gc
 import io
+import os
+import threading
 import warnings
 from unittest import mock
 
@@ -451,3 +453,110 @@ def test_snap_format_stays_on_the_fast_path(tmp_path, monkeypatch):
     edges = load_edge_list(path)
     assert edges.line_count == 2 * BLOCK_LINES + 5
     assert edges.records[-2:] == [(5, 6), (7, 8)]
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=60).map("".join),
+       st.sampled_from([1, 2, 3, 7, graph_io.BLOCK_BYTES]))
+@settings(max_examples=300, deadline=None)
+def test_byte_chunks_parse_like_line_scanner(text, block_bytes):
+    data = text.encode("utf-8")
+    with mock.patch.object(graph_io, "BLOCK_BYTES", block_bytes):
+        assert_parses_like_scanner(data)
+        assert_parses_like_scanner(data.replace(b"x", b"\xff"))  # not UTF-8
+
+
+@pytest.mark.parametrize("data", [
+    b"# " + b"c" * 40 + b"\n0 1\n" + b"1" * 17 + b"\t2\n3 4\n",  # long lines
+    b"0 1\n2 3",  # no final newline
+    b"0 1\r\n2 3\r\n4\t5\r\n",
+    b"0 1\r2 3\n4 5\nx\n",  # a lone "\r" ends a line: x is line 4
+    b"0 1\n2\r3\n",  # line 2 holds one token
+    b"0 1\n2 3\r",
+    b"# caf\xe9\n0 1\n2 3\n",  # not UTF-8 in a comment
+    b"# caf\xc3\xa9 \xc3\xa9\n0 1\n2 3\n",  # UTF-8 across a chunk edge
+    b"0 1\n# \xff\n\xff\t3\n",  # not UTF-8 in a data line
+], ids=["long-lines", "no-final-newline", "crlf", "lone-cr",
+        "lone-cr-in-a-pair", "final-cr", "latin-1-comment", "utf-8-comment",
+        "bad-byte"])
+@pytest.mark.parametrize("block_bytes", range(1, 13))
+def test_chunk_edges_parse_like_line_scanner(data, block_bytes):
+    with mock.patch.object(graph_io, "BLOCK_BYTES", block_bytes):
+        assert_parses_like_scanner(data)
+
+
+def test_bad_line_in_third_chunk_has_absolute_line_number():
+    lines = data_lines(4 * graph_io.BLOCK_BYTES // 10)
+    ends = np.cumsum([len(s) for s in lines])
+    bad = int(np.searchsorted(ends, 2 * graph_io.BLOCK_BYTES + 100))
+    lines[bad] = "12\tx7\n"
+    data = "".join(lines).encode()
+    assert len(data) > 3 * graph_io.BLOCK_BYTES
+    assert_parses_like_scanner(data)
+    with pytest.raises(ParseError) as err:
+        parse_edge_list(io.BytesIO(data), "big.txt")
+    assert err.value.line_number == bad + 1
+    assert err.value.text == "12\tx7"
+
+
+class FailsAfter(io.RawIOBase):
+    """A raw binary stream that serves ``data[:limit]``, then fails."""
+
+    def __init__(self, data, limit):
+        self.data, self.limit, self.served = data, limit, 0
+
+    def readable(self):
+        return True
+
+    def readinto(self, buf):
+        if self.served == self.limit:
+            raise OSError("disk gone")
+        n = min(len(buf), self.limit - self.served)
+        buf[:n] = self.data[self.served:self.served + n]
+        self.served += n
+        return n
+
+
+@pytest.mark.parametrize("limit", [0, 3, 4, 13, 5000, 200_000])
+def test_rows_before_an_io_failure_are_the_whole_lines_read(limit):
+    data = "".join(data_lines(30_000)).replace("\n", "\r\n", 50).encode()
+    rows = []
+    with pytest.raises(OSError, match="reading f.txt"):
+        for f, t in iter_edge_blocks(FailsAfter(data, limit), "f.txt"):
+            rows += zip(f.tolist(), t.tolist())
+    read = data[:limit]
+    assert rows == scanned(read[:read.rfind(b"\n") + 1])[0]
+
+
+def test_binary_snap_file_is_parsed_as_bytes(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("text path used")
+
+    body = "".join(data_lines(3 * graph_io.BLOCK_BYTES // 10))
+    text = ("# Directed graph (each unordered pair of nodes is saved once)\n"
+            "# FromNodeId\tToNodeId\n\n" + body + "\n5 6\n\n  7 \t 8  ")
+    data = text.replace("\n", "\r\n").encode()
+    assert len(data) > 3 * graph_io.BLOCK_BYTES
+    expected = scanned(data)
+    path = tmp_path / "snap.txt"
+    path.write_bytes(data)
+    monkeypatch.setattr(graph_io, "iter_edge_lines", refuse)
+    monkeypatch.setattr(io, "TextIOWrapper", refuse)
+    edges = load_edge_list(path)
+    assert (edges.records, None) == expected
+    assert edges.records[-2:] == [(5, 6), (7, 8)]
+
+
+def test_pipe_yields_the_rows_that_have_arrived():
+    read_fd, write_fd = os.pipe()
+    got = []
+    with open(read_fd, "rb") as reader, open(write_fd, "wb", 0) as writer:
+        writer.write(b"# c\n0 1\n2 3\n4")  # the writer stays open
+        blocks = iter_edge_blocks(reader, "pipe")
+        worker = threading.Thread(target=lambda: got.append(next(blocks)))
+        worker.start()
+        worker.join(timeout=10)
+        arrived = not worker.is_alive()
+        writer.close()  # ends a read still waiting for more
+        worker.join(timeout=10)
+    assert arrived and not worker.is_alive()
+    assert [t.tolist() for t in got[0]] == [[0, 2], [1, 3]]

@@ -11,6 +11,7 @@ from roadnet.graph import (TopKRow, TopKTable, degree_attributes,
                            sorted_distinct, split_keys)
 from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR,
                               iter_edge_lines, pair_keys)
+from roadnet.graph_io import BLOCK_BYTES, iter_edge_blocks
 from roadnet.stream import _DegreeTracker, write_ndjson
 from conftest import random_records
 
@@ -69,6 +70,21 @@ def test_batches_across_blocks(batch_size):
     assert sizes[:-1] == [batch_size] * (len(chunks) - 1)
     assert 1 <= sizes[-1] <= batch_size
     expected = [(u, v) for _, u, v in iter_edge_lines(io.StringIO(text))]
+    got = np.concatenate([np.column_stack([c.from_ids, c.to_ids])
+                          for c in chunks])
+    assert got.tolist() == [list(p) for p in expected]
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_batches_across_binary_blocks(offset):
+    data = snap_text(3 * BLOCK_BYTES // 10).encode()
+    batch_size = next(iter_edge_blocks(io.BytesIO(data)))[0].size + offset
+    chunks = list(stream_batches(io.BytesIO(data), batch_size))
+    sizes = [c.line_count for c in chunks]
+    assert len(chunks) > 2
+    assert sizes[:-1] == [batch_size] * (len(chunks) - 1)
+    assert 1 <= sizes[-1] <= batch_size
+    expected = [(u, v) for _, u, v in iter_edge_lines(io.BytesIO(data))]
     got = np.concatenate([np.column_stack([c.from_ids, c.to_ids])
                           for c in chunks])
     assert got.tolist() == [list(p) for p in expected]
