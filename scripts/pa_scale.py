@@ -23,8 +23,10 @@ in the same process:
     loading the edge list again;
     run_stream (batch 2,500).
 
-After each k-means stage it prints the solve's pass count and the
-distances it computed per point per pass.
+After each PageRank stage it prints the solve's iteration count, whether
+it converged, and its last relative residual (with ``--directed``, the L1
+change of its last power step).  After each k-means stage it prints the
+solve's pass count and the distances it computed per point per pass.
 
 It is not part of the test suite.  Perf changes quote its lines before and
 after, run on the same host.
@@ -88,6 +90,16 @@ def in_fresh_process(job, *args) -> None:
         pool.submit(job, *args).result()
 
 
+def pagerank_stage(name: str, graph, directed: bool = False, **options):
+    with stage(name):
+        ranks = pagerank(graph, tolerance=1e-10, directed=directed, **options)
+    label = "delta" if directed else "residual"
+    print(f"{'':<20} {ranks.iterations_run} iterations, "
+          f"converged={ranks.converged}, {label}={ranks.final_delta:.3e}",
+          flush=True)
+    return ranks
+
+
 def graph_stages(path: Path, threads: int) -> None:
     with stage("load_edge_list", path.stat().st_size / 1e6):
         edges = load_edge_list(path)
@@ -95,15 +107,13 @@ def graph_stages(path: Path, threads: int) -> None:
         summarize(edges)
     with stage("build_graph"):
         graph = build_graph(edges)
-    with stage("pagerank"):
-        ranks = pagerank(graph, tolerance=1e-10, max_iterations=1000,
-                         threads=threads)
+    ranks = pagerank_stage("pagerank", graph, max_iterations=1000,
+                           threads=threads)
     with stage("pagerank.csv"), \
             open(path.with_name("pagerank.csv"), "w", encoding="utf-8") as fp:
         ranks.to_csv(fp, graph)
-    with stage("pagerank --directed"):
-        pagerank(graph, tolerance=1e-10, max_iterations=30, directed=True,
-                 threads=threads)
+    pagerank_stage("pagerank --directed", graph, max_iterations=30,
+                   directed=True, threads=threads)
 
 
 def kmeans_stage(name: str, points, k: int, **options):

@@ -171,7 +171,7 @@ def _cmd_pagerank(args: argparse.Namespace) -> None:
                      max_iterations=args.max_iter, directed=args.directed,
                      threads=args.threads)
     if not ranks.converged:
-        _warn_unconverged(args.input,
+        _warn_unconverged(args.input, "pagerank",
                           f", after {_solver_end(ranks, args.directed)}")
     with open(args.out / "pagerank.csv", "w", encoding="utf-8") as fp:
         ranks.to_csv(fp, graph)
@@ -202,7 +202,8 @@ def _topk_table(path: Path, args: argparse.Namespace):
     if args.by == "pagerank":
         ranks = pagerank(graph, threads=args.threads)
         if not ranks.converged:
-            _warn_unconverged(path, f", after {_solver_end(ranks, False)}")
+            _warn_unconverged(path, "pagerank",
+                              f", after {_solver_end(ranks, False)}")
         return top_k_pagerank(ranks, graph, args.top)
     return top_k_by_degree(graph, args.top)
 
@@ -216,8 +217,8 @@ def _solver_end(ranks, directed: bool) -> str:
             f"({label}={ranks.final_delta:.3e})")
 
 
-def _warn_unconverged(path: Path, detail: str) -> None:
-    print(f"roadnet: warning: {path}: pagerank stopped at the iteration "
+def _warn_unconverged(path: Path, solver: str, detail: str) -> None:
+    print(f"roadnet: warning: {path}: {solver} stopped at the iteration "
           f"limit before converging{detail}", file=sys.stderr)
 
 
@@ -226,6 +227,10 @@ def _cmd_kmeans(args: argparse.Namespace) -> None:
     result = kmeans(points, args.k, init=args.init, seed=args.seed,
                     max_iterations=args.max_iter, tolerance=args.tol,
                     threads=args.threads)
+    if not result.converged:
+        _warn_unconverged(args.input, "kmeans",
+                          f", after {result.iterations_run} passes "
+                          f"(objective={result.objective!r})")
     (args.out / "kmeans_result.json").write_text(
         result.to_json() + "\n", encoding="utf-8")
     with open(args.out / "kmeans_points.csv", "w", encoding="utf-8") as fp:
@@ -269,7 +274,8 @@ def _cmd_stream(args: argparse.Namespace) -> None:
             count += 1
             unconverged += item.pagerank_converged is False
     if unconverged:
-        _warn_unconverged(args.input, f" in {unconverged} of {count} batches")
+        _warn_unconverged(args.input, "pagerank",
+                          f" in {unconverged} of {count} batches")
     if last is None:
         print("stream: no data lines")
     else:
@@ -280,9 +286,10 @@ def _cmd_stream(args: argparse.Namespace) -> None:
 def main(argv=None) -> int:
     """Run one command; artifacts go under --out.  Returns the exit code."""
     args = build_parser().parse_args(argv)
-    if not args.input.exists():
-        print(f"roadnet: input file not found: {args.input}", file=sys.stderr)
-        return 1
+    for path in (args.input, getattr(args, "compare", None)):
+        if path is not None and not path.exists():
+            print(f"roadnet: input file not found: {path}", file=sys.stderr)
+            return 1
     try:
         args.out.mkdir(parents=True, exist_ok=True)
         args.handler(args)

@@ -8,14 +8,15 @@ these datasets refer to the deduplicated undirected view.
 
 The accepted format is defined by the per-line scanner ``iter_edge_lines``
 (``str.strip``/``split`` per line, two tokens of ASCII digits).  Bulk
-parsing goes through ``iter_edge_blocks``: it reads ``BLOCK_BYTES`` of a
-binary stream (cut after the last newline) or ``BLOCK_LINES`` lines of a
-text stream at a time, parsed in numpy if all keep to a strict grammar:
-``\\r`` only in ``\\r\\n``, comments (first byte other than space/tab is
-``#``), and lines of ASCII digits, spaces and tabs with no token or two
-tokens of at most 18 digits.  Else the scanner rescans the lines, split as
-a text stream splits them, so rows, ParseErrors (line number, text,
-reason) and the rows yielded before an error are the scanner's.
+parsing goes through ``iter_edge_blocks``.  It reads a binary stream
+``BLOCK_BYTES`` at a time, cut after the last newline, and parses each piece
+in numpy if all its lines keep to a strict grammar: ``\\r`` only in
+``\\r\\n``, comments (first byte other than space/tab is ``#``), and lines of
+ASCII digits, spaces and tabs with no token or two tokens of at most 18
+digits.  Else the scanner scans the piece, split as a text stream splits it.
+A text stream or a list of lines goes to the scanner whole.  So rows,
+ParseErrors (line number, text, reason) and the rows yielded before an
+error are the scanner's.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ import io
 import re
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -34,7 +34,7 @@ from ._text import Ints, write_rows
 from .graph import (Graph, arc_keys, csr_from_keys, sorted_distinct,
                     split_keys)
 
-BLOCK_LINES = 4096  # lines per parsed block of a text stream
+BLOCK_LINES = 4096  # rows per block of scanned lines
 BLOCK_BYTES = 3 << 14  # bytes per binary read; larger reads raise peak RSS
 _MAX_DIGITS = 18  # 10**18 - 1 < 2**63, so any such token fits in int64
 _ID_LIMIT = 2**63
@@ -129,7 +129,8 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
     two tokens of ASCII digits (a leading ``-`` is reported as negative).
     Malformed lines raise ParseError; I/O and decode failures propagate with
     the source name attached.  This per-line scanner defines the accepted
-    format: ``iter_edge_blocks`` falls back to it and is tested against it.
+    format: ``iter_edge_blocks`` scans with it all but strict binary pieces,
+    and is tested against it.
     """
     with _as_text(reader) as text:
         try:
@@ -199,81 +200,72 @@ def _strict_pairs(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, 2)
 
 
-def _block_edges(pairs, lines: list[str], first_line: int, source_name: str):
-    """Yield ``pairs``, or if None the rows ``iter_edge_lines`` scans from
-    ``lines``, as one (from_ids, to_ids) pair, if any; on a malformed line,
-    the rows before it, then its ParseError numbered from ``first_line``."""
-    if pairs is None:
-        rows: list[tuple[int, int]] = []
-        try:  # extend keeps the rows before a raise
-            rows.extend((u, v) for _, u, v in iter_edge_lines(lines, source_name))
-        except ParseError as err:
-            if rows:
+def _scanned_blocks(lines, source_name: str, first_line: int = 1):
+    """Yield the rows ``iter_edge_lines`` scans from ``lines`` (a text stream
+    or a list of lines) as (from_ids, to_ids) blocks of up to ``BLOCK_LINES``
+    rows; on a failure, the rows before it, then the failure, a ParseError
+    being numbered from ``first_line``."""
+    rows: list[tuple[int, int]] = []
+    try:
+        for _, u, v in iter_edge_lines(lines, source_name):
+            rows.append((u, v))
+            if len(rows) == BLOCK_LINES:
                 yield _columns(rows)
-            raise ParseError(source_name, first_line - 1 + err.line_number,
-                             err.text, err.reason) from None
-        pairs = rows
-    if len(pairs):
-        yield _columns(pairs)
+                rows = []
+    except (OSError, ValueError) as exc:
+        if rows:
+            yield _columns(rows)
+        if not isinstance(exc, ParseError):
+            raise
+        raise ParseError(source_name, first_line - 1 + exc.line_number,
+                         exc.text, exc.reason) from None
+    if rows:
+        yield _columns(rows)
 
 
 def _columns(pairs) -> tuple[np.ndarray, np.ndarray]:
     return tuple(np.asarray(pairs, dtype=np.int64).reshape(-1, 2).T)
 
 
-def _byte_pieces(reader) -> Iterator[tuple[bytes, None]]:
-    """Yield (piece, None) per ``BLOCK_BYTES`` read (``read1`` gives a pipe's
-    data as it arrives): the bytes held and read up to the last ``\\n``."""
+def _byte_pieces(reader) -> Iterator[bytes]:
+    """Yield a piece per ``BLOCK_BYTES`` read (``read1`` gives a pipe's data
+    as it arrives): the bytes held and read up to the last ``\\n``."""
     read = getattr(reader, "read1", reader.read)
     held: list[bytes] = []  # the bytes read since the last "\n"
     while data := read(BLOCK_BYTES):
         if cut := data.rfind(b"\n") + 1:
-            yield b"".join([*held, memoryview(data)[:cut]]), None
+            yield b"".join([*held, memoryview(data)[:cut]])
             held = []
         held.append(data[cut:])
-    yield b"".join(held), None
-
-
-def _text_blocks(reader) -> Iterator[tuple[bytes | None, list[str]]]:
-    """Yield (data, lines) per ``BLOCK_LINES`` lines, then a read failure;
-    data is their bytes if each line ends in its only ``\\n``, else None."""
-    while True:
-        lines, failure = [], None
-        try:  # extend keeps the lines read before a failure
-            lines.extend(islice(reader, BLOCK_LINES))
-        except (OSError, UnicodeDecodeError) as exc:
-            failure = exc
-        text = "".join(lines)
-        whole = text.count("\n") == len(lines) - 1 + text.endswith("\n")
-        yield (text.encode("utf-8", "surrogatepass") if whole else None), lines
-        if failure is not None:
-            raise failure
-        if len(lines) < BLOCK_LINES:
-            return
+    yield b"".join(held)
 
 
 def iter_edge_blocks(reader, source_name: str = "<stream>"
                      ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Yield (from_ids, to_ids) int64 arrays of the data lines, in file order,
-    parsed a piece at a time (see the module docstring).
+    """Yield (from_ids, to_ids) int64 arrays of the data lines, in file order:
+    a binary stream parsed a piece at a time (see the module docstring), any
+    other input in blocks of the rows ``iter_edge_lines`` scans from it.
 
     Accepts, rejects and reports exactly as ``iter_edge_lines``: the same
     rows, the same ParseError (line number, text, reason) after the same
     rows, and I/O and decode failures with the source name attached after
-    the rows of the whole lines read before them.  A text stream decodes
-    ahead of the lines it returns, so a decode failure names no line.
+    the rows of the whole lines read before them.
     """
-    blocks = (_byte_pieces if _is_binary(reader) else _text_blocks)(reader)
+    if not _is_binary(reader):
+        yield from _scanned_blocks(reader, source_name)
+        return
     first_line = 1
     try:
-        for data, lines in blocks:
-            pairs = None if data is None else _strict_pairs(data)
-            if pairs is None and lines is None:  # split as text would be
+        for data in _byte_pieces(reader):
+            pairs = _strict_pairs(data)
+            if pairs is None:  # scanned as a text stream splits it
                 text = data.decode("utf-8", "surrogateescape")
                 lines = list(io.StringIO(text, newline=None))
-            yield from _block_edges(pairs, lines, first_line, source_name)
-            first_line += data.count(b"\n") if lines is None else len(lines)
-    except (OSError, UnicodeDecodeError) as exc:
+                yield from _scanned_blocks(lines, source_name, first_line)
+            elif len(pairs):
+                yield _columns(pairs)
+            first_line += len(lines) if pairs is None else data.count(b"\n")
+    except OSError as exc:
         raise _read_failure(exc, source_name) from exc
 
 

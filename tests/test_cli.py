@@ -1,4 +1,5 @@
 import functools
+import io
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from roadnet import build_graph, pagerank
 from roadnet import edges_to_points, kmeans, load_edge_list
 from roadnet.cli import build_parser, main
 from conftest import FOUR_POINTS
@@ -480,3 +482,57 @@ def test_cli_import_loads_no_xml_or_network_modules():
     assert "roadnet.cli" in loaded
     assert not loaded & {"xml.sax", "urllib.request", "http.client", "ssl",
                          "email"}
+
+
+def test_topk_compare_of_a_missing_file_is_refused_up_front(snap_file,
+                                                           tmp_path, capsys):
+    missing = tmp_path / "nope.txt"
+    out = tmp_path / "out"
+    assert run_cli("topk", "--input", snap_file(TRIANGLE), "--out", out,
+                   "--compare", missing) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"roadnet: input file not found: {missing}\n"
+    assert captured.out == ""
+    assert not out.exists()
+
+
+def test_valid_damping_reaches_the_solver(snap_file, tmp_path):
+    path = snap_file(PATH_20)
+    written = {}
+    for damping in ("0.9", "0.85"):
+        out = tmp_path / damping
+        assert run_cli("pagerank", "--input", path, "--out", out,
+                       "--damping", damping, "--threads", 1) == 0
+        written[damping] = (out / "pagerank.csv").read_text(encoding="utf-8")
+    graph = build_graph(load_edge_list(path))
+    expected = io.StringIO()
+    pagerank(graph, damping=0.9).to_csv(expected, graph)
+    assert written["0.9"] == expected.getvalue()
+    assert written["0.9"] != written["0.85"]
+
+
+def kmeans_run(snap_file, out, *extra):
+    """kmeans --k 4 on 120 random edges: the input, its points and the
+    result JSON."""
+    rng = np.random.default_rng(11)
+    path = snap_file(rng.integers(0, 90, size=(120, 2)).tolist())
+    assert run_cli("kmeans", "--input", path, "--out", out, "--k", 4,
+                   "--sample", 10, "--threads", 1, *extra) == 0
+    payload = json.loads((out / "kmeans_result.json").read_text())
+    return path, edges_to_points(load_edge_list(path)), payload
+
+
+def test_unconverged_kmeans_warns(snap_file, tmp_path, capsys):
+    path, points, payload = kmeans_run(snap_file, tmp_path, "--max-iter", 1)
+    result = kmeans(points, 4, seed=42, max_iterations=1)
+    assert not payload["converged"] and not result.converged
+    assert capsys.readouterr().err == (
+        f"roadnet: warning: {path}: kmeans stopped at the iteration limit "
+        f"before converging, after 1 passes "
+        f"(objective={result.objective!r})\n")
+
+
+def test_converged_kmeans_is_silent(snap_file, tmp_path, capsys):
+    _, _, payload = kmeans_run(snap_file, tmp_path)
+    assert payload["converged"]
+    assert capsys.readouterr().err == ""

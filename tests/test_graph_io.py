@@ -16,6 +16,7 @@ from roadnet import graph_io
 from roadnet.graph import split_keys
 from roadnet.graph_io import (BLOCK_LINES, DIRECT_TABLE_FLOOR, NodeIndex,
                               iter_edge_blocks, iter_edge_lines, pair_keys)
+from roadnet.stream import stream_batches
 from conftest import random_records
 
 records_strategy = st.lists(
@@ -560,3 +561,40 @@ def test_pipe_yields_the_rows_that_have_arrived():
         worker.join(timeout=10)
     assert arrived and not worker.is_alive()
     assert [t.tolist() for t in got[0]] == [[0, 2], [1, 3]]
+
+
+@pytest.mark.parametrize("read", [
+    parse_edge_list, lambda lines: list(stream_batches(lines, 1)),
+], ids=["parse_edge_list", "stream_batches"])
+def test_line_with_an_inner_newline_next_to_one_without_is_one_line(read):
+    # as many "\n"s as lines, yet line 1 is "0 1\n2" to the scanner
+    with pytest.raises(ParseError) as err:
+        read(["0 1\n2", " 3\n"])
+    assert (err.value.line_number, err.value.text, err.value.reason) == (
+        1, "0 1\n2", "expected 2 fields, got 3")
+
+
+def rows_in_blocks_of_at_most(blocks, most):
+    for f, t in blocks:
+        assert 0 < f.size <= most
+        yield from zip(f.tolist(), t.tolist())
+
+
+@given(st.lists(st.sampled_from(PIECES), max_size=60).map("".join),
+       st.data(), st.sampled_from([1, 2, 3, BLOCK_LINES]))
+@settings(max_examples=300, deadline=None)
+def test_line_lists_parse_like_line_scanner(text, data, block_lines):
+    # cut anywhere, so an item may hold an inner "\n" or lack a final one
+    cuts = sorted(data.draw(st.sets(st.integers(0, len(text)), max_size=12)))
+    lines = [text[i:j] for i, j in zip([0, *cuts], [*cuts, len(text)])]
+    with mock.patch.object(graph_io, "BLOCK_LINES", block_lines):
+        blocks = iter_edge_blocks(lines, "f")
+        assert outcome(rows_in_blocks_of_at_most(blocks, block_lines)) == \
+            outcome((u, v) for _, u, v in iter_edge_lines(lines, "f"))
+
+
+def test_list_of_more_lines_than_a_block_is_read_once():
+    lines = data_lines(BLOCK_LINES + 1)
+    assert [f.size for f, _ in iter_edge_blocks(lines)] == [BLOCK_LINES, 1]
+    assert parse_edge_list(lines).records == \
+        [(u, v) for _, u, v in iter_edge_lines(lines)]
