@@ -23,6 +23,13 @@ in the same process:
     loading the edge list again;
     run_stream (batch 2,500).
 
+Then it runs four commands through ``roadnet.cli.main``, each in its own
+spawned process with the CLI's default flags and ``--threads`` where the
+command takes it: ``summary``, ``pagerank``, ``kmeans`` and ``stream
+--batch-size 100000``.  Each prints a line of the same format: the wall
+time inside ``main`` (stdout dropped), and the high-water RSS of its
+process.
+
 After each PageRank stage it prints the solve's iteration count, whether
 it converged, and its last relative residual (with ``--directed``, the L1
 change of its last power step).  After each k-means stage it prints the
@@ -33,6 +40,7 @@ after, run on the same host.
 """
 
 import argparse
+import io
 import os
 import platform
 import resource
@@ -40,7 +48,7 @@ import sys
 import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
-from contextlib import contextmanager
+from contextlib import contextmanager, redirect_stdout
 from multiprocessing import get_context
 from pathlib import Path
 
@@ -52,6 +60,7 @@ from gen import make_grid, write_grid  # noqa: E402
 from roadnet import (ScatterSpec, build_graph, edges_to_points,  # noqa: E402
                      kmeans, load_edge_list, pagerank, render_clusters,
                      run_stream, summarize)
+from roadnet.cli import main as cli_main  # noqa: E402
 
 SIDE = 1044  # grid side whose node count matches roadNet-PA
 
@@ -148,6 +157,14 @@ def stream_stage(path: Path) -> None:
             pass
 
 
+def cli_stage(argv: list[str], path: Path) -> None:
+    out = path.with_name("cli")
+    with stage(f"roadnet {argv[0]}"), redirect_stdout(io.StringIO()):
+        code = cli_main([*argv, "--input", str(path), "--out", str(out)])
+    if code:
+        raise SystemExit(f"roadnet {' '.join(argv)} exited {code}")
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--threads", type=int, default=1)
@@ -160,6 +177,11 @@ def main() -> int:
         in_fresh_process(graph_stages, path, args.threads)
         in_fresh_process(kmeans_stages, path, args.threads)
         in_fresh_process(stream_stage, path)
+        threads = ["--threads", str(args.threads)]
+        for argv in (["summary"], ["pagerank", *threads],
+                     ["kmeans", *threads],
+                     ["stream", "--batch-size", "100000", *threads]):
+            in_fresh_process(cli_stage, argv, path)
     return 0
 
 

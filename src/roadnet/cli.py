@@ -8,6 +8,7 @@ file, malformed line), 2 usage error.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -129,13 +130,7 @@ def _cmd_summary(args: argparse.Namespace) -> None:
     s = summarize(edges)
     print(f"nodes={s.node_count} edges={s.undirected_edge_count}")
     print(f"directed_arcs={s.directed_edge_count} self_loops={s.self_loop_count}")
-    payload = {
-        "source": str(args.input),
-        "node_count": s.node_count,
-        "directed_edge_count": s.directed_edge_count,
-        "undirected_edge_count": s.undirected_edge_count,
-        "self_loop_count": s.self_loop_count,
-    }
+    payload = {"source": str(args.input), **dataclasses.asdict(s)}
     (args.out / "summary.json").write_text(
         json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
@@ -185,15 +180,15 @@ def _cmd_pagerank(args: argparse.Namespace) -> None:
 
 def _cmd_topk(args: argparse.Namespace) -> None:
     table = _topk_table(args.input, args)
+    if args.compare is not None:  # both ranked and drawn before any output
+        out = args.out / "topk_compare.svg"
+        render_topk_bars(table, _topk_table(args.compare, args),
+                         (args.input.stem, args.compare.stem), out,
+                         score_label=args.by)
     with open(args.out / f"topk_{args.by}.csv", "w", encoding="utf-8") as fp:
         table.to_csv(fp)
     print(table.format_triples())
     if args.compare is not None:
-        other = _topk_table(args.compare, args)
-        out = args.out / "topk_compare.svg"
-        render_topk_bars(table, other,
-                         (args.input.stem, args.compare.stem), out,
-                         score_label=args.by)
         print(f"wrote {out}")
 
 

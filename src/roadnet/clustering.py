@@ -345,17 +345,14 @@ def _nearest(x: np.ndarray, y: np.ndarray, centroids: np.ndarray, label,
              best, second, tmp, closer, own: int = -1, known=None) -> None:
     """Each point's nearest centroid, its squared distance and its least
     squared distance to any other centroid, into ``label``, ``best`` and
-    ``second``: a running minimum over the centroids in index order, whose
-    strict < keeps ties at the lowest index.  Distances to centroid ``own``
-    are ``known``, not computed; ``tmp``, ``closer`` are scratch."""
-    if own == 0:
-        np.copyto(best, known)
-    else:
-        _sq_dist_to(x, y, centroids[0], best, tmp)
+    ``second``: a running minimum from +inf over the centroids in index
+    order, whose strict < keeps ties at the lowest index.  ``known`` holds
+    the distances to centroid ``own``; ``tmp``, ``closer`` are scratch."""
+    best.fill(np.inf)
     label.fill(0)
     second.fill(np.inf)
     d2 = np.empty(x.size)
-    for i in range(1, centroids.shape[0]):
+    for i in range(centroids.shape[0]):
         d = known if i == own else _sq_dist_to(x, y, centroids[i], d2, tmp)
         np.less(d, best, out=closer)
         np.minimum(second, d, out=second)

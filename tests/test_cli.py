@@ -536,3 +536,37 @@ def test_converged_kmeans_is_silent(snap_file, tmp_path, capsys):
     _, _, payload = kmeans_run(snap_file, tmp_path)
     assert payload["converged"]
     assert capsys.readouterr().err == ""
+
+
+@pytest.mark.parametrize("first,second,message", [
+    ("ties.txt", "bad.txt", "{second}:2: non-integer node identifier: 'x y'"),
+    ("comments.txt", "ties.txt", "both top-k tables must be non-empty"),
+    ("ties.txt", "comments.txt", "both top-k tables must be non-empty"),
+], ids=["malformed-compare", "empty-input", "empty-compare"])
+def test_topk_compare_writes_nothing_until_both_inputs_are_ranked(
+        tmp_path, capsys, first, second, message):
+    for name, text in [("ties.txt", "0 1\n1 2\n2 0\n"),
+                       ("bad.txt", "0 1\nx y\n"),
+                       ("comments.txt", "# only\n")]:
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    out = tmp_path / "out"
+    assert run_cli("topk", "--input", tmp_path / first, "--out", out,
+                   "--by", "degree", "--compare", tmp_path / second,
+                   "--threads", 1) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"roadnet: {message.format(second=tmp_path / second)}\n")
+    assert list(out.iterdir()) == []
+
+
+def test_topk_compare_of_zero_scores_draws_flat_bars(snap_file, tmp_path):
+    # self-loops only: every degree is 0, so the shared scale falls back to 1
+    left = snap_file([(3, 3), (4, 4)], name="left.txt")
+    right = snap_file([(5, 5)], name="right.txt")
+    out = tmp_path / "out"
+    assert run_cli("topk", "--input", left, "--out", out, "--by", "degree",
+                   "--compare", right, "--threads", 1) == 0
+    root = ET.parse(out / "topk_compare.svg").getroot()
+    bars = [e for e in root.iter() if e.get("class") == "bar"]
+    assert [bar.get("height") for bar in bars] == ["0.00"] * 3

@@ -26,6 +26,12 @@ def make_result(centroids, assignment, k):
         distance_evaluations=0, objective_trace=())
 
 
+@pytest.mark.parametrize("shape", [(4,), (4, 1), (4, 3), (2, 2, 2)])
+def test_point_set_refuses_an_array_not_t_by_2(shape):
+    with pytest.raises(ValueError, match=r"expected a \(t, 2\) array, got "):
+        PointSet(np.zeros(shape))
+
+
 def test_edges_to_points_maps_records():
     points = edges_to_points(EdgeList.from_records([(0, 1), (1, 0)]))
     assert points.t == 2

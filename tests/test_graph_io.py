@@ -598,3 +598,37 @@ def test_list_of_more_lines_than_a_block_is_read_once():
     assert [f.size for f, _ in iter_edge_blocks(lines)] == [BLOCK_LINES, 1]
     assert parse_edge_list(lines).records == \
         [(u, v) for _, u, v in iter_edge_lines(lines)]
+
+
+# whole well-formed lines, drawn as often as all of PIECES together, so runs
+# of data lines reach past the block and batch edges
+LINES = ["0 1\n", "7\t12\r\n", "42 9223372036854775807\n", "5 5\r"]
+lines_and_pieces = st.lists(
+    st.one_of(st.sampled_from(LINES), st.sampled_from(PIECES)), max_size=60)
+
+
+@given(lines_and_pieces.map("".join), st.sampled_from([1, 2, 3, BLOCK_LINES]))
+@settings(max_examples=300, deadline=None)
+def test_runs_of_lines_block_parse_like_line_scanner(text, block_lines):
+    test_block_parser_matches_line_scanner.hypothesis.inner_test(
+        text, block_lines)
+
+
+@given(lines_and_pieces.map("".join),
+       st.sampled_from([1, 2, 3, 7, graph_io.BLOCK_BYTES]))
+@settings(max_examples=300, deadline=None)
+def test_runs_of_lines_in_byte_chunks_parse_like_line_scanner(text,
+                                                              block_bytes):
+    test_byte_chunks_parse_like_line_scanner.hypothesis.inner_test(
+        text, block_bytes)
+
+
+@given(lines_and_pieces, st.sampled_from([1, 2, 3, BLOCK_LINES]))
+@settings(max_examples=300, deadline=None)
+def test_runs_of_lines_in_line_lists_parse_like_line_scanner(lines,
+                                                             block_lines):
+    # one item per line, so the runs of data lines are kept whole
+    with mock.patch.object(graph_io, "BLOCK_LINES", block_lines):
+        blocks = iter_edge_blocks(lines, "f")
+        assert outcome(rows_in_blocks_of_at_most(blocks, block_lines)) == \
+            outcome((u, v) for _, u, v in iter_edge_lines(lines, "f"))
