@@ -34,6 +34,10 @@ After each PageRank stage it prints the solve's iteration count, whether
 it converged, and its last relative residual (with ``--directed``, the L1
 change of its last power step).  After each k-means stage it prints the
 solve's pass count and the distances it computed per point per pass.
+After ``run_stream`` it prints the batch count and, over the batches'
+``wall_time_ms``, the median, the 90th percentile and the medians of the
+first 10 and of the last 10 batches: the quantities of the bench's
+``stream.batch_ms_*`` metrics.
 
 It is not part of the test suite.  Perf changes quote its lines before and
 after, run on the same host.
@@ -153,8 +157,12 @@ def kmeans_stages(path: Path, threads: int) -> None:
 
 def stream_stage(path: Path) -> None:
     with stage("run_stream"), open(path, "rb") as reader:
-        for _ in run_stream(reader, 2500, k=10, source_name=str(path)):
-            pass
+        ms = [batch.wall_time_ms for batch in
+              run_stream(reader, 2500, k=10, source_name=str(path))]
+    p50, p90 = np.percentile(ms, [50, 90])
+    print(f"{'':<20} {len(ms)} batches, ms per batch: median {p50:.2f}, "
+          f"p90 {p90:.2f}, first 10 {np.median(ms[:10]):.2f}, "
+          f"last 10 {np.median(ms[-10:]):.2f}", flush=True)
 
 
 def cli_stage(argv: list[str], path: Path) -> None:

@@ -258,24 +258,22 @@ def _cmd_scatter(args: argparse.Namespace) -> None:
 
 def _cmd_stream(args: argparse.Namespace) -> None:
     last = None
-    count = unconverged = 0
+    unconverged = 0
     with open(args.input, "rb") as reader, \
             open(args.out / "stream.ndjson", "w", encoding="utf-8") as sink:
         stats = run_stream(reader, args.batch_size, k=args.top,
                            recompute_pagerank=args.recompute_pagerank,
                            source_name=str(args.input), threads=args.threads)
-        for item in write_ndjson(stats, sink):
-            last = item
-            count += 1
-            unconverged += item.pagerank_converged is False
+        for last in write_ndjson(stats, sink):
+            unconverged += last.pagerank_converged is False
     if unconverged:
         _warn_unconverged(args.input, "pagerank",
-                          f" in {unconverged} of {count} batches")
+                          f" in {unconverged} of {last.batch_index} batches")
     if last is None:
         print("stream: no data lines")
     else:
-        print(f"stream: {count} batches, {last.cumulative_edges} edges, "
-              f"{last.cumulative_nodes} nodes")
+        print(f"stream: {last.batch_index} batches, "
+              f"{last.cumulative_edges} edges, {last.cumulative_nodes} nodes")
 
 
 def main(argv=None) -> int:

@@ -300,23 +300,16 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
 
     evaluations = 0
     trace: list[float] = []
-    prev_obj = None
-    converged = False
-    iterations = 0
     step = full_pass
-    while iterations < max_iterations:
+    while True:
         passes = run_blocks(step, blocks, threads)
         evaluations += t + (k - 1) * sum(redone for _, redone, _ in passes)
-        iterations += 1
-        obj = float(mind2.sum())
-        trace.append(obj)
-        if not any(moved for moved, _, _ in passes):
-            converged = True
-            break
-        if prev_obj is not None and prev_obj - obj < tolerance:
-            converged = True
-            break
-        if iterations == max_iterations:
+        trace.append(float(mind2.sum()))
+        # bool(): a numpy tolerance would make the comparison a numpy.bool
+        converged = bool(
+            not any(moved for moved, _, _ in passes)
+            or len(trace) > 1 and trace[-2] - trace[-1] < tolerance)
+        if converged or len(trace) == max_iterations:
             break
         if exact:
             totals += sum(delta for *_, delta in passes)
@@ -326,7 +319,6 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         drift = float(np.hypot(*(updated - centroids).T).max()) + eta
         centroids = updated
         half_gap = _half_gaps(centroids, eta)
-        prev_obj = obj
         step = bounded_pass
 
     return ClusteringResult(
@@ -334,7 +326,7 @@ def kmeans(points: PointSet, k: int, *, init: str = "kmeans++", seed: int = 42,
         assignment=labels,
         cluster_sizes=np.bincount(labels, minlength=k),
         objective=trace[-1],
-        iterations_run=iterations,
+        iterations_run=len(trace),
         converged=converged,
         distance_evaluations=evaluations,
         objective_trace=tuple(trace),

@@ -201,10 +201,10 @@ def _strict_pairs(data: bytes) -> np.ndarray | None:
 
 
 def _scanned_blocks(lines, source_name: str, first_line: int = 1):
-    """Yield the rows ``iter_edge_lines`` scans from ``lines`` (a text stream
-    or a list of lines) as (from_ids, to_ids) blocks of up to ``BLOCK_LINES``
-    rows; on a failure, the rows before it, then the failure, a ParseError
-    being numbered from ``first_line``."""
+    """Yield the rows ``iter_edge_lines`` scans from ``lines`` (a text or
+    binary stream, or a list of lines) as (from_ids, to_ids) blocks of up to
+    ``BLOCK_LINES`` rows; on a failure, the rows before it, then the failure,
+    a ParseError being numbered from ``first_line``."""
     rows: list[tuple[int, int]] = []
     try:
         for _, u, v in iter_edge_lines(lines, source_name):
@@ -258,13 +258,14 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
     try:
         for data in _byte_pieces(reader):
             pairs = _strict_pairs(data)
-            if pairs is None:  # scanned as a text stream splits it
-                text = data.decode("utf-8", "surrogateescape")
-                lines = list(io.StringIO(text, newline=None))
-                yield from _scanned_blocks(lines, source_name, first_line)
+            if pairs is None:  # scanned as a binary stream (_as_text)
+                yield from _scanned_blocks(io.BytesIO(data), source_name,
+                                           first_line)
             elif len(pairs):
                 yield _columns(pairs)
-            first_line += len(lines) if pairs is None else data.count(b"\n")
+            # bytes.splitlines ends lines where the text reader does
+            first_line += (len(data.splitlines()) if pairs is None
+                           else data.count(b"\n"))
     except OSError as exc:
         raise _read_failure(exc, source_name) from exc
 

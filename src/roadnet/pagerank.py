@@ -132,7 +132,6 @@ def _power(spread, degrees: np.ndarray, damping: float, tolerance: float,
     base = (1.0 - damping) / n
 
     trace = []
-    converged = False
     while len(trace) < max_iterations:
         np.divide(scores, share_deg, out=w)
         spread(w, contrib)
@@ -145,9 +144,8 @@ def _power(spread, degrees: np.ndarray, damping: float, tolerance: float,
         trace.append(float(np.abs(w, out=w).sum()))
         scores, new = new, scores
         if trace[-1] < tolerance:
-            converged = True
             break
-    return scores, trace, converged
+    return scores, trace, bool(trace[-1] < tolerance)
 
 
 def _conjugate_gradients(spread, degrees: np.ndarray, damping: float,
@@ -170,8 +168,7 @@ def _conjugate_gradients(spread, degrees: np.ndarray, damping: float,
     rr = np.add.reduce(np.multiply(r, r, out=tmp))
     b_norm = math.sqrt(rr)
     trace = []
-    converged = not rr  # no node has a neighbour: y = 1 is exact
-    while not converged and len(trace) < max_iterations:
+    while rr and len(trace) < max_iterations:  # rr == 0: y = 1 is exact
         # q = (I - d S) p
         spread(np.multiply(p, inv_root, out=tmp), contrib)
         np.subtract(p, np.multiply(contrib, scale, out=q), out=q)
@@ -181,10 +178,7 @@ def _conjugate_gradients(spread, degrees: np.ndarray, damping: float,
         rr_next = np.add.reduce(np.multiply(r, r, out=tmp))
         trace.append(math.sqrt(rr_next) / b_norm)
         # an exact zero residual stops here, before 0/0 in the next step
-        if trace[-1] < tolerance:
-            converged = True
-            break
-        if rr_next < _SMALLEST_RR:
+        if trace[-1] < tolerance or rr_next < _SMALLEST_RR:
             break
         p *= rr_next / rr
         p += r
@@ -194,7 +188,7 @@ def _conjugate_gradients(spread, degrees: np.ndarray, damping: float,
     x *= y
     x[~linked] = 1.0
     x /= np.add.reduce(x)
-    return x, trace, converged
+    return x, trace, bool(not trace or trace[-1] < tolerance)
 
 
 def top_k_pagerank(ranks: PageRankVector, graph: Graph, k: int) -> TopKTable:

@@ -583,3 +583,44 @@ def test_cli_kmeans_keeps_the_sums_of_integer_ids(tmp_path, centroid_updates):
         assert centroid_updates.recounts == (
             [] if name == "grid.txt" else updates)
 
+
+
+@pytest.mark.parametrize("tolerance,max_iterations,converged", [
+    (1e12, 300, True),  # stopped by the objective improvement, at pass 2
+    (0.0, 300, True),  # stopped at a fixed point
+    (0.0, 2, False),  # stopped at the cap
+])
+def test_converged_is_a_python_bool_for_a_numpy_tolerance(
+        tolerance, max_iterations, converged):
+    rng = np.random.default_rng(5)
+    points = pset(rng.integers(0, 40, size=(200, 2)))
+    result = kmeans(points, 4, seed=1, tolerance=np.float64(tolerance),
+                    max_iterations=max_iterations)
+    assert type(result.converged) is bool
+    assert result.converged is converged
+    assert json.loads(result.to_json())["converged"] is converged
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 8])
+def test_kmeans_capped_by_max_iterations_matches_lloyd(cap, threads,
+                                                       kmeans_blocks,
+                                                       monkeypatch):
+    """A solve stopped by the cap ends with the centroids its last pass
+    assigned to: no update runs after the last pass."""
+    from roadnet import parallel
+    monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
+    rng = np.random.default_rng(77)
+    points = pset(rng.integers(0, 40, size=(500, 2)))  # many exact ties
+    labels, centroids, trace, iterations, converged = matrix_kmeans(
+        points, 5, seed=3, tolerance=0.0, max_iterations=cap)
+    result = kmeans(points, 5, seed=3, tolerance=0.0, max_iterations=cap,
+                    threads=threads)
+    assert set(kmeans_blocks) == {threads}
+    assert np.array_equal(result.assignment, labels)
+    assert np.array_equal(result.centroids, centroids)
+    assert result.objective_trace == trace
+    assert result.iterations_run == iterations == len(trace)
+    assert result.converged is converged
+    if cap < 5:
+        assert iterations == cap and not converged

@@ -350,3 +350,16 @@ def test_tiny_residuals_stop_without_nan():
     assert not ranks.converged and ranks.iterations_run < 1000
     assert np.isfinite(ranks.scores).all()
     assert abs(ranks.scores.sum() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("directed", [False, True])
+@pytest.mark.parametrize("max_iterations,converged", [(1000, True),
+                                                      (2, False)])
+def test_converged_is_a_python_bool_for_a_numpy_tolerance(
+        directed, max_iterations, converged):
+    grid = make_grid(20, 5)
+    g = build_graph(EdgeList(grid.from_ids, grid.to_ids))
+    ranks = pagerank(g, tolerance=np.float64(1e-10),
+                     max_iterations=max_iterations, directed=directed)
+    assert type(ranks.converged) is bool
+    assert ranks.converged is converged
