@@ -39,6 +39,13 @@ After ``run_stream`` it prints the batch count and, over the batches'
 first 10 and of the last 10 batches: the quantities of the bench's
 ``stream.batch_ms_*`` metrics.
 
+Last, the three stage groups run once more, each in a fresh spawned process
+with ``tracemalloc`` on, and print one line per stage: the peak of the
+traced allocations during the stage, in MiB (``tracemalloc.reset_peak()``
+at its start), which includes what earlier stages still hold.  The
+high-water RSS is a reading of the whole process: it moves with heap
+layout, so only the traced peaks can attribute memory to a code change.
+
 It is not part of the test suite.  Perf changes quote its lines before and
 after, run on the same host.
 """
@@ -51,6 +58,7 @@ import resource
 import sys
 import tempfile
 import time
+import tracemalloc
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager, redirect_stdout
 from multiprocessing import get_context
@@ -88,7 +96,14 @@ def high_water_mb() -> float:
 @contextmanager
 def stage(name: str, input_mb: float = 0.0):
     """Print the stage's wall time and high-water RSS, and with ``input_mb``
-    the size of its input and the rate it was read at."""
+    the size of its input and the rate it was read at; while ``tracemalloc``
+    traces, print the stage's traced peak instead."""
+    if tracemalloc.is_tracing():
+        tracemalloc.reset_peak()
+        yield
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+        print(f"{name:<20} {peak:8.1f} MiB traced peak", flush=True)
+        return
     start = time.perf_counter()
     yield
     wall = time.perf_counter() - start
@@ -98,18 +113,28 @@ def stage(name: str, input_mb: float = 0.0):
           flush=True)
 
 
+def detail(text: str) -> None:
+    """Print a line under the row of a timed stage; a traced pass drops it."""
+    if not tracemalloc.is_tracing():
+        print(f"{'':<20} {text}", flush=True)
+
+
 def in_fresh_process(job, *args) -> None:
     with ProcessPoolExecutor(1, mp_context=get_context("spawn")) as pool:
         pool.submit(job, *args).result()
+
+
+def traced(job, *args) -> None:
+    tracemalloc.start()
+    job(*args)
 
 
 def pagerank_stage(name: str, graph, directed: bool = False, **options):
     with stage(name):
         ranks = pagerank(graph, tolerance=1e-10, directed=directed, **options)
     label = "delta" if directed else "residual"
-    print(f"{'':<20} {ranks.iterations_run} iterations, "
-          f"converged={ranks.converged}, {label}={ranks.final_delta:.3e}",
-          flush=True)
+    detail(f"{ranks.iterations_run} iterations, "
+           f"converged={ranks.converged}, {label}={ranks.final_delta:.3e}")
     return ranks
 
 
@@ -134,8 +159,8 @@ def kmeans_stage(name: str, points, k: int, **options):
         result = kmeans(points, k, **options)
     per_point_pass = result.distance_evaluations / (
         points.t * result.iterations_run)
-    print(f"{'':<20} {result.iterations_run} passes, "
-          f"{per_point_pass:.3f} distances per point per pass", flush=True)
+    detail(f"{result.iterations_run} passes, "
+           f"{per_point_pass:.3f} distances per point per pass")
     return result
 
 
@@ -160,9 +185,9 @@ def stream_stage(path: Path) -> None:
         ms = [batch.wall_time_ms for batch in
               run_stream(reader, 2500, k=10, source_name=str(path))]
     p50, p90 = np.percentile(ms, [50, 90])
-    print(f"{'':<20} {len(ms)} batches, ms per batch: median {p50:.2f}, "
-          f"p90 {p90:.2f}, first 10 {np.median(ms[:10]):.2f}, "
-          f"last 10 {np.median(ms[-10:]):.2f}", flush=True)
+    detail(f"{len(ms)} batches, ms per batch: median {p50:.2f}, "
+           f"p90 {p90:.2f}, first 10 {np.median(ms[:10]):.2f}, "
+           f"last 10 {np.median(ms[-10:]):.2f}")
 
 
 def cli_stage(argv: list[str], path: Path) -> None:
@@ -182,14 +207,17 @@ def main() -> int:
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "grid.txt"
         in_fresh_process(write_pa_grid, path)
-        in_fresh_process(graph_stages, path, args.threads)
-        in_fresh_process(kmeans_stages, path, args.threads)
-        in_fresh_process(stream_stage, path)
+        groups = [(graph_stages, path, args.threads),
+                  (kmeans_stages, path, args.threads), (stream_stage, path)]
+        for group in groups:
+            in_fresh_process(*group)
         threads = ["--threads", str(args.threads)]
         for argv in (["summary"], ["pagerank", *threads],
                      ["kmeans", *threads],
                      ["stream", "--batch-size", "100000", *threads]):
             in_fresh_process(cli_stage, argv, path)
+        for group in groups:
+            in_fresh_process(traced, *group)
     return 0
 
 

@@ -122,8 +122,9 @@ def _as_text(reader) -> Iterator[IO[str]]:
             text.detach()
 
 
-def iter_edge_lines(reader, source_name: str = "<stream>"):
-    """Yield (line_number, from_id, to_id) for every data line.
+def iter_edge_lines(reader, source_name: str = "<stream>", first_line=1):
+    """Yield (line_number, from_id, to_id) for every data line, the lines
+    of ``reader`` numbered from ``first_line``.
 
     Comments (leading ``#``) and blank lines are skipped.  A data line is
     two tokens of ASCII digits (a leading ``-`` is reported as negative).
@@ -134,7 +135,7 @@ def iter_edge_lines(reader, source_name: str = "<stream>"):
     """
     with _as_text(reader) as text:
         try:
-            for line_number, raw in enumerate(text, start=1):
+            for line_number, raw in enumerate(text, start=first_line):
                 line = raw.strip()
                 if not line or line.startswith("#"):
                     continue
@@ -200,25 +201,21 @@ def _strict_pairs(data: bytes) -> np.ndarray | None:
     return values.reshape(-1, 2)
 
 
-def _scanned_blocks(lines, source_name: str, first_line: int = 1):
-    """Yield the rows ``iter_edge_lines`` scans from ``lines`` (a text or
-    binary stream, or a list of lines) as (from_ids, to_ids) blocks of up to
-    ``BLOCK_LINES`` rows; on a failure, the rows before it, then the failure,
-    a ParseError being numbered from ``first_line``."""
+def _scanned_blocks(scan):
+    """Yield the rows of ``scan``, an ``iter_edge_lines`` generator, as
+    (from_ids, to_ids) blocks of up to ``BLOCK_LINES`` rows; on a failure,
+    the rows before it, then the scanner's own exception."""
     rows: list[tuple[int, int]] = []
     try:
-        for _, u, v in iter_edge_lines(lines, source_name):
+        for _, u, v in scan:
             rows.append((u, v))
             if len(rows) == BLOCK_LINES:
                 yield _columns(rows)
                 rows = []
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError):
         if rows:
             yield _columns(rows)
-        if not isinstance(exc, ParseError):
-            raise
-        raise ParseError(source_name, first_line - 1 + exc.line_number,
-                         exc.text, exc.reason) from None
+        raise
     if rows:
         yield _columns(rows)
 
@@ -252,15 +249,15 @@ def iter_edge_blocks(reader, source_name: str = "<stream>"
     the rows of the whole lines read before them.
     """
     if not _is_binary(reader):
-        yield from _scanned_blocks(reader, source_name)
+        yield from _scanned_blocks(iter_edge_lines(reader, source_name))
         return
     first_line = 1
     try:
         for data in _byte_pieces(reader):
             pairs = _strict_pairs(data)
             if pairs is None:  # scanned as a binary stream (_as_text)
-                yield from _scanned_blocks(io.BytesIO(data), source_name,
-                                           first_line)
+                yield from _scanned_blocks(
+                    iter_edge_lines(io.BytesIO(data), source_name, first_line))
             elif len(pairs):
                 yield _columns(pairs)
             # bytes.splitlines ends lines where the text reader does

@@ -46,6 +46,8 @@ def reservoir_sample_indices(t: int, sample_size: int, seed: int) -> np.ndarray:
     replaces it when the slot is in the reservoir, so each slot ends up
     holding the last item that drew it.
     """
+    if sample_size < 0:
+        raise ValueError(f"sample_size must be >= 0, got {sample_size}")
     if sample_size >= t:
         return np.arange(t, dtype=np.int64)
     idx = np.arange(sample_size, dtype=np.int64)

@@ -95,6 +95,15 @@ def test_binary_stream_left_open_without_resource_warnings(tmp_path):
     assert [w for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
+def test_scanner_numbers_lines_from_first_line():
+    lines = iter_edge_lines(io.StringIO("0 1\n\n2 x\n"), "f", first_line=40)
+    assert next(lines) == (40, 0, 1)
+    with pytest.raises(ParseError) as err:
+        next(lines)
+    assert (err.value.source_name, err.value.line_number, err.value.text,
+            err.value.reason) == ("f", 42, "2 x", "non-integer node identifier")
+
+
 def test_parse_io_failure_carries_source():
     class Boom(io.StringIO):
         def __next__(self):

@@ -69,6 +69,21 @@ def test_reservoir_identity_when_sample_covers_all():
     assert reservoir_sample_indices(5, 10, 0).tolist() == [0, 1, 2, 3, 4]
 
 
+def test_negative_sample_size_is_refused_by_name(tmp_path):
+    message = "sample_size must be >= 0, got -1"
+    with pytest.raises(ValueError, match=message):
+        reservoir_sample_indices(10, -1, 0)
+    with pytest.raises(ValueError, match=message):
+        reservoir_sample_indices(0, -1, -5)
+    spec = spec_for(pset(FOUR_POINTS), sample=-1)
+    with pytest.raises(ValueError, match=message):
+        render_scatter(spec, tmp_path / "s.svg")
+    result = kmeans(spec.points, 2, seed=0)
+    with pytest.raises(ValueError, match=message):
+        render_clusters(result, spec.points, spec, tmp_path / "c.svg")
+    assert not list(tmp_path.iterdir())
+
+
 def test_reservoir_sample_properties():
     idx = reservoir_sample_indices(10_000, 250, seed=3)
     assert idx.size == 250
