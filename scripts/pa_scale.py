@@ -6,13 +6,16 @@
 Builds bench/gen.py's ``make_grid(1044, 0)`` (3,091,946 arcs over 1,082,042
 nodes, about the size of SNAP's roadNet-PA) and writes it as a SNAP edge list
 in a temporary directory.  It first prints one setup line (the Python and
-numpy versions, ``os.cpu_count()`` and ``--threads``), so a quoted table
-carries its setup.  Then it prints one line per stage, each run once,
-with its wall time and the high-water RSS of its process after it
-(``load_edge_list`` also gives the input's size and its rate in MB/s).  The
-high-water mark only rises, so the stages run in four fresh spawned
-processes, and a line shows the peak of its stage or of an earlier stage
-in the same process:
+numpy versions, ``os.cpu_count()``, ``--threads`` and the median wall time
+of 5 fresh ``python -c "import roadnet.cli"`` processes), so a quoted table
+carries its setup.  The import is timed in plain subprocesses because the
+spawned workers below import roadnet for this script's own top-level
+imports, so no stage of theirs shows the start-up a command pays.  Then it
+prints one line per stage, each run once, with its wall time and the
+high-water RSS of its process after it (``load_edge_list`` also gives the
+input's size and its rate in MB/s).  The high-water mark only rises, so
+the stages run in four fresh spawned processes, and a line shows the peak
+of its stage or of an earlier stage in the same process:
 
     the grid writer;
     load_edge_list, summarize, build_graph, pagerank (tol 1e-10),
@@ -55,6 +58,7 @@ import io
 import os
 import platform
 import resource
+import subprocess
 import sys
 import tempfile
 import time
@@ -117,6 +121,20 @@ def detail(text: str) -> None:
     """Print a line under the row of a timed stage; a traced pass drops it."""
     if not tracemalloc.is_tracing():
         print(f"{'':<20} {text}", flush=True)
+
+
+def cli_import_ms() -> float:
+    """Median wall time, in ms, of 5 fresh processes that import roadnet.cli
+    from this checkout."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))}
+    times = []
+    for _ in range(5):
+        start = time.perf_counter()
+        subprocess.run([sys.executable, "-c", "import roadnet.cli"], env=env,
+                       check=True)
+        times.append(time.perf_counter() - start)
+    return float(np.median(times)) * 1e3
 
 
 def in_fresh_process(job, *args) -> None:
@@ -203,7 +221,9 @@ def main() -> int:
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
     print(f"python {platform.python_version()}, numpy {np.__version__}, "
-          f"{os.cpu_count()} CPUs, --threads {args.threads}", flush=True)
+          f"{os.cpu_count()} CPUs, --threads {args.threads}, "
+          f"import roadnet.cli {cli_import_ms():.1f} ms (median of 5 "
+          f"processes)", flush=True)
     with tempfile.TemporaryDirectory() as work:
         path = Path(work) / "grid.txt"
         in_fresh_process(write_pa_grid, path)

@@ -16,14 +16,13 @@ from pathlib import Path
 
 from . import __version__
 from ._text import Ints, write_rows
-from .clustering import INIT_METHODS, PointSet, edges_to_points, kmeans
 from .graph import top_k_by_degree, top_k_order
 from .graph_io import _INTEGER, build_graph, load_edge_list, summarize
 from .pagerank import pagerank, top_k_pagerank
-from .report import (ScatterSpec, render_clusters, render_scatter,
-                     render_topk_bars, reservoir_sample_indices,
-                     write_points_csv)
-from .stream import run_stream, write_ndjson
+
+# clustering.INIT_METHODS, named here so that building the parser does not
+# import clustering: each handler imports the modules only it runs
+INIT_METHODS = ("kmeans++", "uniform-random", "first-k")
 
 
 def _damping(text: str) -> float:
@@ -181,6 +180,7 @@ def _cmd_pagerank(args: argparse.Namespace) -> None:
 def _cmd_topk(args: argparse.Namespace) -> None:
     table = _topk_table(args.input, args)
     if args.compare is not None:  # both ranked and drawn before any output
+        from .report import render_topk_bars
         out = args.out / "topk_compare.svg"
         render_topk_bars(table, _topk_table(args.compare, args),
                          (args.input.stem, args.compare.stem), out,
@@ -218,6 +218,8 @@ def _warn_unconverged(path: Path, solver: str, detail: str) -> None:
 
 
 def _cmd_kmeans(args: argparse.Namespace) -> None:
+    from .clustering import edges_to_points, kmeans
+    from .report import ScatterSpec, render_clusters
     points = edges_to_points(load_edge_list(args.input))
     result = kmeans(points, args.k, init=args.init, seed=args.seed,
                     max_iterations=args.max_iter, tolerance=args.tol,
@@ -241,6 +243,9 @@ def _cmd_kmeans(args: argparse.Namespace) -> None:
 
 
 def _cmd_scatter(args: argparse.Namespace) -> None:
+    from .clustering import PointSet, edges_to_points
+    from .report import (ScatterSpec, render_scatter, reservoir_sample_indices,
+                         write_points_csv)
     points = edges_to_points(load_edge_list(args.input))
     t = points.t
     if args.sample < t:  # one draw serves the SVG and the CSV
@@ -257,6 +262,7 @@ def _cmd_scatter(args: argparse.Namespace) -> None:
 
 
 def _cmd_stream(args: argparse.Namespace) -> None:
+    from .stream import run_stream, write_ndjson
     last = None
     unconverged = 0
     with open(args.input, "rb") as reader, \

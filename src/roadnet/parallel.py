@@ -22,11 +22,15 @@ with one solve each, as the CLI runs it, k = 3, medians of 5-7 alternated
 pairs in each of three sweeps: 2 blocks ran 0.78x as fast at 0.25M,
 0.90-1.16x at 0.50-0.88M (the sweeps disagreed), 0.98-1.30x at 1.0M,
 1.21-1.41x at 1.25-2.0M and 1.89x at 9.3M, so the split starts at 1.0M.
+
+``concurrent.futures`` is imported when the first executor is made, not
+with this module: below those minimums no kernel makes a second block, so
+a process that ranks or clusters a small graph never builds a pool and
+need not pay for the import (``logging`` and ``queue`` among it).
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from functools import cache
 
 MIN_BLOCK_WORK = {"pagerank": 1 << 19, "kmeans": 500_000}
@@ -44,9 +48,10 @@ def block_ranges(n: int, kernel: str, work: int,
 
 
 @cache
-def _pool(threads: int) -> ThreadPoolExecutor:
+def _pool(threads: int):
     """One executor per thread count, kept for the life of the process:
     a kernel hands off blocks on every PageRank step or Lloyd pass."""
+    from concurrent.futures import ThreadPoolExecutor
     return ThreadPoolExecutor(max_workers=threads)
 
 

@@ -1,3 +1,4 @@
+import argparse
 import functools
 import io
 import json
@@ -107,10 +108,12 @@ def test_unknown_command_exits_2(capsys):
     ("kmeans", "--k", "+2"),
     ("scatter", "--seed", "\u0663"),
     ("stream", "--batch-size", "1_0"),
+    ("kmeans", "--init", "bogus"),
 ], ids=["damping-1.5", "pagerank-tol-0", "pagerank-tol-nan", "kmeans-tol-neg",
         "kmeans-tol-nan", "threads-0", "summary-seed", "degrees-threads",
         "kmeans-seed-neg", "scatter-seed-neg", "threads-underscore",
-        "k-plus", "seed-arabic-indic-digit", "batch-size-underscore"])
+        "k-plus", "seed-arabic-indic-digit", "batch-size-underscore",
+        "init-unknown"])
 def test_usage_error_exits_2(snap_file, tmp_path, capsys, command, flag,
                             value):
     path = snap_file(TRIANGLE)
@@ -191,6 +194,16 @@ def test_kmeans_objective_matches_exhaustive_oracle(snap_file, tmp_path):
     csv_rows = (out / "kmeans_points.csv").read_text().splitlines()
     assert csv_rows[0] == "point_index,x,y,cluster"
     assert len(csv_rows) == 5
+
+
+def test_kmeans_init_choices_are_the_solvers():
+    # the CLI names them itself, so that its parser need not import clustering
+    from roadnet.clustering import INIT_METHODS
+    commands = next(a for a in build_parser()._actions
+                    if isinstance(a, argparse._SubParsersAction))
+    init = next(a for a in commands.choices["kmeans"]._actions
+                if a.dest == "init")
+    assert init.choices == INIT_METHODS
 
 
 @pytest.mark.parametrize("init", ["first-k", "uniform-random"])
@@ -467,21 +480,49 @@ def test_converged_pagerank_is_silent(snap_file, tmp_path, capsys, records,
     assert capsys.readouterr().err == ""
 
 
-def test_cli_import_loads_no_xml_or_network_modules():
-    # xml.sax.saxutils alone pulls in urllib.request, http.client, email
-    # and ssl (with OpenSSL), which every command would pay for at start-up
+def modules_loaded_by(script: str) -> set[str]:
+    """The names in sys.modules after a fresh interpreter runs script."""
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src,
                                                       env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, roadnet.cli; print(*sys.modules)"],
+        [sys.executable, "-c", f"{script}\nimport sys; print(*sys.modules)"],
         env=env, capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
-    loaded = set(proc.stdout.split())
+    return set(proc.stdout.splitlines()[-1].split())
+
+
+def test_cli_import_loads_no_xml_or_network_modules():
+    # xml.sax.saxutils alone pulls in urllib.request, http.client, email
+    # and ssl (with OpenSSL), which every command would pay for at start-up
+    loaded = modules_loaded_by("import roadnet.cli")
     assert "roadnet.cli" in loaded
     assert not loaded & {"xml.sax", "urllib.request", "http.client", "ssl",
                          "email"}
+
+
+LAZY_MODULES = {"roadnet.clustering", "roadnet.report", "roadnet.stream",
+                "concurrent.futures"}
+
+
+@pytest.mark.parametrize("commands,loaded", [
+    ((), set()),
+    (("pagerank", "stream"), {"roadnet.stream"}),
+    (("kmeans",), {"roadnet.clustering", "roadnet.report"}),
+], ids=["import", "pagerank-stream", "kmeans"])
+def test_each_command_imports_only_what_it_runs(snap_file, tmp_path,
+                                                commands, loaded):
+    """Every command runs in a fresh process, so each module one does not
+    run is start-up it need not pay; a graph this small makes no second
+    block, so no thread pool either."""
+    path = snap_file(TRIANGLE)
+    runs = "".join(
+        f"assert roadnet.cli.main([{c!r}, '--input', {str(path)!r}, "
+        f"'--out', {str(tmp_path / c)!r}, '--threads', '2']) == 0\n"
+        for c in commands)
+    assert modules_loaded_by(f"import roadnet.cli\n{runs}") & LAZY_MODULES \
+        == loaded
 
 
 def test_topk_compare_of_a_missing_file_is_refused_up_front(snap_file,

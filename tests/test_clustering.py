@@ -438,16 +438,19 @@ def test_kmeans_never_splits_past_the_thread_count(kmeans_blocks):
 
 
 def test_blocked_solves_reuse_one_thread_pool(monkeypatch):
+    import concurrent.futures
     from roadnet import parallel
     monkeypatch.setitem(parallel.MIN_BLOCK_WORK, "kmeans", 1)
     made = []
 
-    class CountingExecutor(parallel.ThreadPoolExecutor):
+    class CountingExecutor(concurrent.futures.ThreadPoolExecutor):
         def __init__(self, *args, **kwargs):
             made.append(1)
             super().__init__(*args, **kwargs)
 
-    monkeypatch.setattr(parallel, "ThreadPoolExecutor", CountingExecutor)
+    # parallel._pool imports the executor class when it makes one
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor",
+                        CountingExecutor)
     rng = np.random.default_rng(78)
     points = pset(rng.integers(0, 40, size=(300, 2)))
     for seed in (1, 2):

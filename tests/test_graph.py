@@ -1,5 +1,6 @@
 import io
 import json
+import sys
 
 import numpy as np
 import pytest
@@ -100,8 +101,22 @@ def test_degree_arrays_are_read_only(name):
 
 
 def test_every_public_name_resolves():
+    import roadnet.pagerank
+    import roadnet.stream
     for name in roadnet.__all__:
-        assert getattr(roadnet, name) is not None, name
+        value = getattr(roadnet, name)
+        assert value is not None, name
+        home = sys.modules[getattr(value, "__module__", "roadnet")]
+        assert getattr(home, name) is value, name
+    # the submodule imports above leave the function bound, not its module
+    assert roadnet.pagerank is sys.modules["roadnet.pagerank"].pagerank
+    assert set(roadnet.__all__) <= set(dir(roadnet))
+    namespace = {}
+    exec("from roadnet import *", namespace)
+    assert {name: namespace[name] for name in roadnet.__all__} \
+        == {name: getattr(roadnet, name) for name in roadnet.__all__}
+    with pytest.raises(AttributeError, match="no attribute 'nonesuch'"):
+        roadnet.nonesuch
 
 
 def test_top_k_star():
