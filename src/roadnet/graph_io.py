@@ -339,11 +339,16 @@ class NodeIndex:
             seen[f] = True
             seen[t] = True
             fresh = np.flatnonzero(seen)
-        else:
-            ends = np.concatenate([f, t])
-            fresh = sorted_distinct(ends[self.table[ends] < 0])
-        self.table[fresh] = np.arange(self.n, self.n + fresh.size)
-        return self.table[f], self.table[t], fresh
+            self.table[fresh] = np.arange(fresh.size)
+            return self.table[f], self.table[t], fresh
+        ends = np.concatenate([f, t])
+        index = self.table[ends]
+        new = index < 0
+        fresh = sorted_distinct(ends[new])
+        if fresh.size:
+            self.table[fresh] = np.arange(self.n, self.n + fresh.size)
+            index[new] = self.table[ends[new]]
+        return index[:f.size], index[f.size:], fresh
 
     def _add_sorted(self, f, t):
         batch, inverse = np.unique(np.concatenate([f, t]), return_inverse=True)

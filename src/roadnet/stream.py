@@ -2,13 +2,14 @@
 
 The edge stream is consumed in fixed-size chunks of data lines.  Each batch
 is merged into numpy degree state (node slots from one ``NodeIndex``, and
-the sorted ``pair_keys`` seen so far), and the top-k by undirected degree is
-re-ranked over the previous top-k plus the batch's nodes by ``top_k_order``,
-the batch pipeline's own cut; optionally the cumulative graph is rebuilt and
-ranked by PageRank per batch.  Every batch's table equals the batch
-pipeline's on the prefix read, same tie rules included.  The sorted inserts
-into the pair keys, and into the node index once sparse IDs have moved it to
-its sorted path, are the one per-batch cost that grows with the prefix.
+the ``pair_keys`` seen so far as sorted runs), and the top-k by undirected
+degree is re-ranked over the previous top-k plus the batch's nodes that can
+enter it by ``top_k_order``, the batch pipeline's own cut; optionally the
+cumulative graph is rebuilt and ranked by PageRank per batch.  Every
+batch's table equals the batch pipeline's on the prefix read, same tie
+rules included.  Only the sorted inserts into the node index, once sparse
+IDs have moved it to its sorted path, grow with the prefix; the rest of a
+batch's work grows with the batch and the log of the prefix.
 """
 
 from __future__ import annotations
@@ -83,19 +84,28 @@ class _DegreeTracker:
     columns of ``slots`` (node ID, degree, indegree, outdegree) are indexed
     by those numbers.  ``slots`` has a capacity that doubles when outgrown
     and is zero past the slots in use, so a batch touches only its own
-    slots.  ``keys`` are the ``pair_keys`` over slots so far; they start
-    with a -1 sentinel, so ``searchsorted(side="right") - 1`` always indexes
-    an entry.
+    slots.  ``runs`` hold the ``pair_keys`` over slots so far as sorted,
+    disjoint, non-empty runs, each more than twice the size of the next: a
+    batch's unseen keys (those no run holds) become a new run, merged with
+    the newest runs while they are at most twice its size, as a binary
+    counter carries (Bentley and Saxe 1980).  So there are about
+    log2(keys / batch) runs, and a key is merged about that many times.
 
-    Each batch ranks the old leaders and the batch's nodes: degrees only
-    grow, so a node outside the batch still trails the old leaders.
+    Each batch ranks the old leaders, and those of the batch's new nodes
+    and of the nodes whose degree grew that beat ``floor``: the (degree, ID)
+    of the k-th leader at the end of the last batch, kept once k nodes are
+    seen.  Degrees only grow, so the k old leaders still rank at or above
+    the floor, and a node that does not beat it cannot enter the table.
+    Any other node that is no leader ranked below the floor before the
+    batch, and still does.
     """
 
     def __init__(self, k: int):
         self.k = k
         self.nodes = NodeIndex()
-        self.keys = np.full(1, -1, dtype=np.int64)
+        self.runs: list[np.ndarray] = []
         self.top = np.zeros(0, dtype=np.int64)
+        self.floor = None
         self.slots = np.zeros((4, 0), dtype=np.int64)
 
     def add(self, edges: EdgeList) -> TopKTable:
@@ -115,12 +125,27 @@ class _DegreeTracker:
         np.add.at(indeg, dst, 1)
         np.add.at(outdeg, src, 1)
         keys = pair_keys(src, dst, n)
-        at = np.searchsorted(self.keys, keys, side="right")
-        unseen = self.keys[at - 1] != keys
-        self.keys = np.insert(self.keys, at[unseen], keys[unseen])
-        np.add.at(deg, np.concatenate(split_keys(keys[unseen])), 1)
-        cand = sorted_distinct(np.concatenate([self.top, src, dst]))
+        for run in self.runs:
+            # a key below run[0] lands on run[-1], which exceeds it
+            keys = keys[run[np.searchsorted(run, keys, side="right") - 1]
+                        != keys]
+        grew = np.concatenate(split_keys(keys))
+        np.add.at(deg, grew, 1)
+        if keys.size:
+            while self.runs and self.runs[-1].size <= 2 * keys.size:
+                keys = np.concatenate([self.runs.pop(), keys])
+                keys.sort(kind="stable")  # a merge of the two sorted runs
+            self.runs.append(keys)
+        cand = np.concatenate([grew, np.arange(old, n)])
+        if self.floor is not None:
+            floor_deg, floor_id = self.floor
+            score = deg[cand]
+            cand = cand[(score > floor_deg)
+                        | ((score == floor_deg) & (node_id[cand] < floor_id))]
+        cand = sorted_distinct(np.concatenate([self.top, cand]))
         self.top = cand[top_k_order(deg[cand], node_id[cand], self.k)]
+        if self.top.size == self.k:
+            self.floor = deg[self.top[-1]], node_id[self.top[-1]]
         return top_k_table(node_id, deg, self.slots[1:], self.top, self.k)
 
 

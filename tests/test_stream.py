@@ -428,15 +428,15 @@ def test_counts_reallocated_logarithmically():
 
 
 def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
-    # only the pair keys take sorted inserts, and the ID table and the
-    # per-slot table grow by doubling as the lattice is read batch by batch
+    # nothing takes a sorted insert, and the ID table and the per-slot
+    # table grow by doubling as the lattice is read batch by batch
     batches = lattice_batches(120, 500)
     tracker = _DegreeTracker(10)
-    into_keys, insert = [], np.insert
+    inserts, insert = [], np.insert
 
-    def spy(arr, *args, **kwargs):
-        into_keys.append(arr is tracker.keys)
-        return insert(arr, *args, **kwargs)
+    def spy(*args, **kwargs):
+        inserts.append(1)
+        return insert(*args, **kwargs)
 
     monkeypatch.setattr(np, "insert", spy)
     nodes = tracker.nodes
@@ -446,11 +446,34 @@ def test_dense_stream_indexes_ids_through_a_direct_table(monkeypatch):
         for i, arr in enumerate([nodes.table, tracker.slots]):
             if arr is not held[i]:
                 held[i], reallocations[i] = arr, reallocations[i] + 1
-    assert nodes.sorted_ids is None and into_keys == [True] * len(batches)
+    assert nodes.sorted_ids is None and inserts == []
     assert nodes.n == 120 * 120 and nodes.table.size >= nodes.n
     assert max(reallocations) <= np.log2(nodes.n) + 2
     node_id = tracker.slots[0, :nodes.n]
     assert nodes.table[node_id].tolist() == list(range(nodes.n))
+
+
+def test_pair_key_runs_stay_logarithmic():
+    # the runs merge like a binary counter: after every batch there are at
+    # most log2(keys / batch) + 2 of them, and over the stream each key is
+    # written into a run at most that many times, not once per batch
+    batch_size = 500
+    batches = lattice_batches(120, batch_size)
+    tracker = _DegreeTracker(10)
+    written = 0
+    for batch in batches:
+        held = {id(run) for run in tracker.runs}
+        tracker.add(batch)
+        written += sum(run.size for run in tracker.runs
+                       if id(run) not in held)
+        keys = sum(run.size for run in tracker.runs)
+        assert len(tracker.runs) <= np.log2(keys / batch_size) + 2
+    assert keys == 2 * 120 * 119  # the lattice's edges
+    runs = tracker.runs
+    assert all(a.size > 2 * b.size for a, b in zip(runs, runs[1:]))
+    merged = np.concatenate(runs)
+    assert np.array_equal(np.sort(merged), np.unique(merged))
+    assert written <= keys * (np.log2(keys / batch_size) + 2)
 
 
 def test_sparse_batch_moves_the_index_to_the_sorted_path_once():
@@ -483,3 +506,59 @@ def test_ranked_candidates_stay_near_k(monkeypatch):
     for batch in batches:
         tracker.add(batch)
     assert sorted_sizes == [k] * len(batches) and len(batches) == 80
+
+
+def test_full_table_ranks_only_nodes_that_beat_the_floor(monkeypatch):
+    # once the table is full, a batch ranks the k leaders and those of its
+    # 2 x 500 endpoints that beat the k-th leader, not all of them.  Batch 1
+    # fills the table with nodes 101-110 at degree 4; the lattice is read
+    # in ID order and no node below 100 reaches degree 4, so every later
+    # batch ranks the leaders alone.
+    batch_size, k = 500, 10
+    ranked, distinct = [], sorted_distinct
+
+    def spy(values):
+        ranked.append(values.size)
+        return distinct(values)
+
+    monkeypatch.setattr("roadnet.stream.sorted_distinct", spy)
+    tracker = _DegreeTracker(k)
+    for batch in lattice_batches(100, batch_size):
+        tracker.add(batch)
+        assert tracker.top.size == k
+    assert len(ranked) == 80 and ranked[0] > batch_size
+    assert ranked[1:] == [k] * 79
+
+
+def test_new_node_of_degree_zero_displaces_a_higher_id_at_the_floor():
+    # nodes 5 and 7 fill the table at degree 0; node 1 arrives with only a
+    # self-loop, also at degree 0, and beats 7 on the ID
+    tops = assert_tracker_matches_reference(
+        edge_batches([(5, 5)], [(7, 7)], [(1, 1)]), k=2)
+    assert tops == [[5], [5, 7], [1, 5]]
+
+
+def test_batches_with_no_unseen_pair_add_no_run():
+    # after batch 1 the table is full at floor (0, 8); batch 2 holds only
+    # self-loops, batch 3 only a repeated pair and the self-loop of a new
+    # node, batch 4 only repeated pairs.  None adds a run, and the new
+    # nodes 2 and 0 of degree 0 still enter the table.
+    tracker, reference = _DegreeTracker(3), ReferenceTracker(3)
+    tops = []
+    for batch in edge_batches([(4, 6), (8, 8)], [(2, 2), (9, 9), (9, 9)],
+                              [(6, 4), (0, 0), (4, 6)], [(4, 6), (6, 4)]):
+        table = tracker.add(batch)
+        assert table == reference.add(batch)
+        assert [run.tolist() for run in tracker.runs] == [[1]]  # slots 0, 1
+        tops.append([row.node_id for row in table.rows])
+    assert tops == [[4, 6, 8], [4, 6, 2], [4, 6, 0], [4, 6, 0]]
+
+
+@pytest.mark.parametrize("batch_size", [1, 4, 25])
+def test_tracker_matches_reference_with_many_ties_at_the_floor(batch_size):
+    # 400 arcs over 300 IDs: most degrees are 0 to 3, so many nodes tie the
+    # k-th leader, and new nodes of low ID keep arriving
+    rng = np.random.default_rng([batch_size, 31])
+    batches = cut_batches(random_arcs(rng, np.arange(300), 400), batch_size)
+    for k in (1, 3, 10):
+        assert_tracker_matches_reference(batches, k)
